@@ -75,7 +75,7 @@ int main() {
   bed.DiscardEgress();
   uint64_t legit_bytes = 0;
   bed.SetEgressHook([&](const net::Packet& p) {
-    auto parsed = net::ParseFrame(p.bytes());
+    const net::ParsedPacket* parsed = p.parsed();
     if (parsed && parsed->flow() && parsed->flow()->dst_port == 443) {
       legit_bytes += p.size();
     }

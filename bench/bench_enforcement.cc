@@ -69,7 +69,7 @@ WireCount RunWorld(bool install_policy) {
   const uint16_t pg_port = pg->tuple().src_port;
   const uint16_t my_port = my->tuple().src_port;
   for (const auto& frame : bed.egress()) {
-    auto parsed = net::ParseFrame(frame->bytes());
+    const net::ParsedPacket* parsed = frame->parsed();
     if (!parsed || !parsed->flow()) {
       continue;
     }

@@ -71,7 +71,7 @@ FctResult RunMix(bool use_wfq, uint64_t seed) {
   auto rng = std::make_shared<Rng>(seed);
 
   bed.SetEgressHook([&result, flows, &bed](const net::Packet& p) {
-    auto parsed = net::ParseFrame(p.bytes());
+    const net::ParsedPacket* parsed = p.parsed();
     if (!parsed || !parsed->flow() || parsed->flow()->dst_port != 8000) {
       if (parsed && parsed->flow() && parsed->flow()->dst_port == 9000) {
         result.elephant_bytes += p.size();

@@ -110,7 +110,7 @@ void EmitJson(uint16_t queues, uint16_t pair, const RunResult& r) {
   std::printf(
       "{\"bench\":\"multicore_scaling\",\"queues\":%u,\"pair\":%u,"
       "\"flows\":%zu,\"frames\":%zu,\"delivered\":%llu,\"events\":%llu,"
-      "\"virtual_s\":%.6f,\"events_per_s\":%.0f}\n",
+      "\"virtual_s\":%.6f,\"events_per_virtual_s\":%.0f}\n",
       queues, pair, kFlows, kFlows * kFramesPerFlow,
       static_cast<unsigned long long>(r.delivered),
       static_cast<unsigned long long>(r.events),

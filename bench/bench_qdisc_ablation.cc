@@ -66,7 +66,7 @@ AblationResult RunWorkload(const QdiscFactory& make_qdisc) {
 
   AblationResult result;
   bed.SetEgressHook([&](const net::Packet& p) {
-    auto parsed = net::ParseFrame(p.bytes());
+    const net::ParsedPacket* parsed = p.parsed();
     if (!parsed || !parsed->flow()) {
       return;
     }

@@ -75,7 +75,7 @@ RunResult RunTenants(bool use_wfq, double productive_weight,
 
   RunResult result;
   bed.SetEgressHook([&](const net::Packet& p) {
-    auto parsed = net::ParseFrame(p.bytes());
+    const net::ParsedPacket* parsed = p.parsed();
     if (!parsed || !parsed->flow()) {
       return;
     }

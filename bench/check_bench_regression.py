@@ -205,13 +205,15 @@ def fastpath_rows(rows, fastpath):
 
 
 def multicore_scaling(rows, queues):
-    """events_per_s ratios of each `queues`-lane run over its 1-queue pair."""
+    """events_per_virtual_s ratios of each `queues`-lane run over its
+    1-queue pair."""
     by_pair = {}
     for r in rows:
-        if r.get("bench") != "multicore_scaling" or "events_per_s" not in r:
+        if (r.get("bench") != "multicore_scaling"
+                or "events_per_virtual_s" not in r):
             continue
         by_pair.setdefault(r.get("pair"), {})[r.get("queues")] = (
-            r["events_per_s"])
+            r["events_per_virtual_s"])
     return [
         p[queues] / p[1]
         for p in by_pair.values()

@@ -80,7 +80,7 @@ int main() {
 
   uint64_t bytes_a = 0, bytes_b = 0;
   bed.SetEgressHook([&](const net::Packet& p) {
-    auto parsed = net::ParseFrame(p.bytes());
+    const net::ParsedPacket* parsed = p.parsed();
     if (!parsed || !parsed->flow()) {
       return;
     }

@@ -65,7 +65,7 @@ int main() {
 
   uint64_t productive_bytes = 0, game_bytes = 0;
   bed.SetEgressHook([&](const net::Packet& p) {
-    auto parsed = net::ParseFrame(p.bytes());
+    const net::ParsedPacket* parsed = p.parsed();
     if (!parsed || !parsed->flow()) {
       return;
     }

@@ -56,7 +56,7 @@ int main() {
 
   uint64_t legit = 0, violations = 0;
   for (const auto& frame : bed.egress()) {
-    auto parsed = net::ParseFrame(frame->bytes());
+    const net::ParsedPacket* parsed = frame->parsed();
     if (parsed && parsed->flow() && parsed->flow()->dst_port == 5432) {
       (parsed->flow()->src_port == pg->tuple().src_port ? legit
                                                         : violations)++;

@@ -1,10 +1,11 @@
 #include "src/common/profiler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+
+#include "src/common/logging.h"
 
 namespace norman::telemetry {
 
@@ -37,10 +38,11 @@ Profiler::Profiler() {
 
 uint32_t Profiler::RegisterCore(std::string name, CoreKind kind,
                                 std::function<Nanos()> busy) {
-  assert(cores_.size() < kMaxCores && "raise Profiler::kMaxCores");
-  if (cores_.size() >= kMaxCores) {
-    return kMaxCores - 1;  // release builds: fold into the last core
-  }
+  // Folding an extra core into an existing one would silently misattribute
+  // its cycles, so running out of cores is fatal in every build.
+  NORMAN_CHECK(cores_.size() < kMaxCores)
+      << "profiler core '" << name << "' exceeds Profiler::kMaxCores ("
+      << kMaxCores << "); raise the cap";
   cores_.push_back(Core{std::move(name), kind, std::move(busy)});
   return static_cast<uint32_t>(cores_.size() - 1);
 }

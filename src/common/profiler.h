@@ -89,7 +89,8 @@ class Profiler {
 
   // Register a serialized core whose busy time this profiler attributes.
   // `busy` is read only at export time and is the conservation ground truth.
-  // Returns the dense core id used by Charge().
+  // Returns the dense core id used by Charge(). Registering more than
+  // kMaxCores cores aborts (in release builds too).
   uint32_t RegisterCore(std::string name, CoreKind kind,
                         std::function<Nanos()> busy);
 

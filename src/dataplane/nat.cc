@@ -64,9 +64,8 @@ nic::StageResult NatEngine::Process(net::Packet& packet,
       it = by_private_.emplace(key, m).first;
       by_public_.emplace((uint32_t{public_port} << 8) | proto, m);
     }
-    net::RewriteSource(packet.mutable_bytes(), public_ip_,
-                       it->second.public_port);
-    result.mutated = true;  // cached parse is stale; NIC re-parses
+    net::RewriteSource(packet, public_ip_, it->second.public_port);
+    result.mutated = true;  // the packet's parse memo was patched in place
     ++tx_translated_;
     return result;
   }
@@ -80,9 +79,9 @@ nic::StageResult NatEngine::Process(net::Packet& packet,
   if (it == by_public_.end()) {
     return result;  // not ours; let the filter decide
   }
-  net::RewriteDestination(packet.mutable_bytes(), it->second.private_ip,
+  net::RewriteDestination(packet, it->second.private_ip,
                           it->second.private_port);
-  result.mutated = true;  // cached parse is stale; NIC re-parses
+  result.mutated = true;  // the packet's parse memo was patched in place
   ++rx_translated_;
   return result;
 }

@@ -33,12 +33,6 @@ class PacedScheduler : public nic::Scheduler {
   // "wfq", not the pacing shim). Pacing state is queried via HasRate.
   std::string_view name() const override { return inner_->name(); }
 
-  // The pacer itself keys on ctx.conn only; whether parsed headers are
-  // needed is the inner discipline's call.
-  bool NeedsClassification() const override {
-    return inner_->NeedsClassification();
-  }
-
   // Kernel-facing configuration. rate 0 removes the limit.
   void SetRate(net::ConnectionId conn, BitsPerSecond rate_bps,
                uint64_t burst_bytes);

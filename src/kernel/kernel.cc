@@ -392,8 +392,8 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
     return;
   }
   // Unmatched RX: dispatch against the listen table.
-  auto parsed = net::ParseFrame(packet->bytes());
-  if (!parsed || !parsed->flow()) {
+  const net::ParsedPacket* parsed = packet->parsed();
+  if (parsed == nullptr || !parsed->flow()) {
     drop_malformed_->Increment();
     return;
   }

@@ -5,6 +5,7 @@
 #include "src/net/byte_io.h"
 #include "src/net/checksum.h"
 #include "src/net/headers.h"
+#include "src/net/packet_memo.h"
 
 namespace norman::net {
 
@@ -43,7 +44,56 @@ std::span<const uint8_t> L4Span(std::span<const uint8_t> frame,
   return frame.subspan(parsed.l4_offset, l4_len);
 }
 
+// Recomputes the IPv4 header checksum and the L4 checksum of `frame` in
+// place, writing each new value into `parsed` (which describes `frame`) as
+// well. Returns true iff the frame now verifies.
+bool FixupFrameChecksums(std::span<uint8_t> frame, ParsedPacket& parsed) {
+  if (!parsed.is_ipv4() ||
+      frame.size() < parsed.l3_offset + kIpv4MinHeaderSize) {
+    return true;  // nothing to fix, nothing the verifier checks
+  }
+  // IPv4 header checksum.
+  const size_t ip_csum_at = parsed.l3_offset + 10;
+  StoreBe16(&frame[ip_csum_at], 0);
+  parsed.ipv4->checksum = InternetChecksum(
+      frame.subspan(parsed.l3_offset, kIpv4MinHeaderSize));
+  StoreBe16(&frame[ip_csum_at], parsed.ipv4->checksum);
+  if (parsed.l4_offset == 0 || parsed.l4_offset >= frame.size()) {
+    return true;
+  }
+  return WriteTransportChecksum(
+      frame.subspan(parsed.l4_offset, L4Span(frame, parsed).size()), parsed);
+}
+
 }  // namespace
+
+bool WriteTransportChecksum(std::span<uint8_t> l4, ParsedPacket& parsed) {
+  const Ipv4Address src = parsed.ipv4->src;
+  const Ipv4Address dst = parsed.ipv4->dst;
+  if (parsed.is_udp()) {
+    if (l4.size() < kUdpHeaderSize) {
+      return false;
+    }
+    StoreBe16(&l4[6], 0);
+    parsed.udp->checksum = TransportChecksum(src, dst, IpProto::kUdp, l4);
+    StoreBe16(&l4[6], parsed.udp->checksum);
+  } else if (parsed.is_tcp()) {
+    if (l4.size() < kTcpMinHeaderSize) {
+      return false;
+    }
+    StoreBe16(&l4[16], 0);
+    parsed.tcp->checksum = TransportChecksum(src, dst, IpProto::kTcp, l4);
+    StoreBe16(&l4[16], parsed.tcp->checksum);
+  } else if (parsed.is_icmp()) {
+    if (l4.size() < kIcmpHeaderSize) {
+      return false;
+    }
+    StoreBe16(&l4[2], 0);
+    parsed.icmp->checksum = InternetChecksum(l4);
+    StoreBe16(&l4[2], parsed.icmp->checksum);
+  }
+  return true;
+}
 
 bool FrameChecksumsValid(std::span<const uint8_t> frame,
                          const ParsedPacket& parsed) {
@@ -82,36 +132,12 @@ bool FrameChecksumsValid(std::span<const uint8_t> frame,
   return true;
 }
 
-bool FixupFrameChecksums(std::span<uint8_t> frame) {
-  auto parsed = ParseFrame(frame);
-  if (!parsed || !parsed->is_ipv4() ||
-      frame.size() < parsed->l3_offset + kIpv4MinHeaderSize) {
-    return false;
+void FixupPacketChecksums(Packet& packet) {
+  ParsedPacket* parsed = PacketMemoAccess::Reparse(packet);
+  if (parsed != nullptr &&
+      FixupFrameChecksums(PacketMemoAccess::bytes(packet), *parsed)) {
+    PacketMemoAccess::MarkChecksumsOk(packet);
   }
-  // IPv4 header checksum.
-  const size_t ip_csum_at = parsed->l3_offset + 10;
-  StoreBe16(&frame[ip_csum_at], 0);
-  StoreBe16(&frame[ip_csum_at],
-            InternetChecksum(
-                frame.subspan(parsed->l3_offset, kIpv4MinHeaderSize)));
-  if (parsed->l4_offset == 0 || parsed->l4_offset >= frame.size()) {
-    return true;
-  }
-  auto l4 = frame.subspan(parsed->l4_offset,
-                          L4Span(frame, *parsed).size());
-  if (parsed->is_udp() && l4.size() >= kUdpHeaderSize) {
-    StoreBe16(&l4[6], 0);
-    StoreBe16(&l4[6], TransportChecksum(parsed->ipv4->src, parsed->ipv4->dst,
-                                        IpProto::kUdp, l4));
-  } else if (parsed->is_tcp() && l4.size() >= kTcpMinHeaderSize) {
-    StoreBe16(&l4[16], 0);
-    StoreBe16(&l4[16], TransportChecksum(parsed->ipv4->src, parsed->ipv4->dst,
-                                         IpProto::kTcp, l4));
-  } else if (parsed->is_icmp() && l4.size() >= kIcmpHeaderSize) {
-    StoreBe16(&l4[2], 0);
-    StoreBe16(&l4[2], InternetChecksum(l4));
-  }
-  return true;
 }
 
 }  // namespace norman::net

@@ -5,14 +5,15 @@
 // checksum and the L4 checksum before a frame is allowed past the NIC
 // (DropReason::kCorrupt). The TX side models checksum offload: frames the
 // library publishes get their checksums recomputed at SendFrame time, which
-// is what makes the zero-copy AllocFrame/Payload path legal — the builder
-// checksummed a zero payload, the application overwrote it, the "hardware"
-// fixes it up on the way out.
+// is what makes the zero-copy AllocFrame/Payload path legal — AllocFrame
+// leaves the transport checksum unset, the application writes the payload,
+// the "hardware" fills the checksums on the way out.
 #ifndef NORMAN_NET_FRAME_CHECKSUM_H_
 #define NORMAN_NET_FRAME_CHECKSUM_H_
 
 #include <span>
 
+#include "src/net/packet.h"
 #include "src/net/parsed_packet.h"
 
 namespace norman::net {
@@ -26,10 +27,14 @@ namespace norman::net {
 bool FrameChecksumsValid(std::span<const uint8_t> frame,
                          const ParsedPacket& parsed);
 
-// Recomputes the IPv4 header checksum and the L4 checksum in place (TX
-// checksum offload). Returns false (frame untouched) when the frame does
-// not parse as IPv4 — there is nothing to fix on a non-IP frame.
-bool FixupFrameChecksums(std::span<uint8_t> frame);
+// TX checksum offload for a packet whose bytes an application could write
+// freely: one fresh parse, installed as the packet's parse memo, fused with
+// recomputing the IPv4 header checksum and the L4 checksum in place — each
+// new value lands in both the bytes and the memo. checksums_ok() is set when
+// the frame now verifies, which fails only for an L4 segment too short to
+// carry its checksum. Non-IPv4 frames keep their bytes and verify
+// vacuously.
+void FixupPacketChecksums(Packet& packet);
 
 }  // namespace norman::net
 

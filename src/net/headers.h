@@ -30,6 +30,8 @@ struct EthernetHeader {
   static std::optional<EthernetHeader> Parse(std::span<const uint8_t> data);
   // Writes kEthernetHeaderSize bytes; `out` must be large enough.
   void Serialize(std::span<uint8_t> out) const;
+
+  friend bool operator==(const EthernetHeader&, const EthernetHeader&) = default;
 };
 
 enum class ArpOp : uint16_t { kRequest = 1, kReply = 2 };
@@ -43,6 +45,8 @@ struct ArpMessage {
 
   static std::optional<ArpMessage> Parse(std::span<const uint8_t> data);
   void Serialize(std::span<uint8_t> out) const;  // kArpBodySize bytes
+
+  friend bool operator==(const ArpMessage&, const ArpMessage&) = default;
 };
 
 struct Ipv4Header {
@@ -63,6 +67,8 @@ struct Ipv4Header {
   void Serialize(std::span<uint8_t> out, bool compute_checksum = true);
   // Validates the checksum of a raw header.
   static bool ChecksumValid(std::span<const uint8_t> header_bytes);
+
+  friend bool operator==(const Ipv4Header&, const Ipv4Header&) = default;
 };
 
 struct UdpHeader {
@@ -73,6 +79,8 @@ struct UdpHeader {
 
   static std::optional<UdpHeader> Parse(std::span<const uint8_t> data);
   void Serialize(std::span<uint8_t> out) const;  // kUdpHeaderSize bytes
+
+  friend bool operator==(const UdpHeader&, const UdpHeader&) = default;
 };
 
 // TCP flag bits (wire positions).
@@ -98,6 +106,8 @@ struct TcpHeader {
 
   static std::optional<TcpHeader> Parse(std::span<const uint8_t> data);
   void Serialize(std::span<uint8_t> out) const;  // kTcpMinHeaderSize bytes
+
+  friend bool operator==(const TcpHeader&, const TcpHeader&) = default;
 };
 
 enum class IcmpType : uint8_t { kEchoReply = 0, kEchoRequest = 8 };
@@ -111,6 +121,8 @@ struct IcmpHeader {
 
   static std::optional<IcmpHeader> Parse(std::span<const uint8_t> data);
   void Serialize(std::span<uint8_t> out) const;  // kIcmpHeaderSize bytes
+
+  friend bool operator==(const IcmpHeader&, const IcmpHeader&) = default;
 };
 
 }  // namespace norman::net

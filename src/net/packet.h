@@ -57,40 +57,87 @@ struct PacketMeta {
 
 class PacketPool;
 
+// A Packet carries two memos of its bytes that the type itself keeps exact
+// (DESIGN.md §5a):
+//
+//  * parsed()       — ParseFrame(bytes()), computed on first use. The pooled
+//                     builders and the trusted src/net writers (checksum
+//                     offload, NAT rewrite) fill or patch it directly from
+//                     the headers they wrote, so a frame is parsed at most
+//                     once per traversal.
+//  * checksums_ok() — "FrameChecksumsValid(bytes(), *parsed()) holds", the
+//                     analogue of Linux's CHECKSUM_UNNECESSARY. Set by the
+//                     builders, by TX checksum offload, and by a successful
+//                     RX verification.
+//
+// Every write path clears what it may invalidate: mutable_bytes() and
+// Resize() clear both memos, mutable_payload() clears only the checksum bit
+// (payload bytes are not part of the parse).
 class Packet {
  public:
   Packet() = default;
   explicit Packet(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
 
   std::span<const uint8_t> bytes() const { return bytes_; }
-  std::span<uint8_t> mutable_bytes() { return bytes_; }
   size_t size() const { return bytes_.size(); }
 
-  void Resize(size_t n) { bytes_.resize(n); }
+  // Raw write access: any byte may change, so both memos are dropped.
+  std::span<uint8_t> mutable_bytes() {
+    ForgetMemos();
+    return bytes_;
+  }
+  // Write access to the application payload only (parsed()->payload_offset
+  // to the end of the frame; empty when the frame has none). Headers cannot
+  // change through it, so the parse stays and only the checksum bit drops.
+  std::span<uint8_t> mutable_payload();
+
+  void Resize(size_t n) {
+    ForgetMemos();
+    bytes_.resize(n);
+  }
 
   PacketMeta& meta() { return meta_; }
   const PacketMeta& meta() const { return meta_; }
 
-  // Cached single-pass parse of bytes(). The NIC parses each frame once on
-  // pipeline entry and re-parses *only* after a stage mutates the bytes
-  // (NAT); everything downstream — schedulers, RSS, observers — reads this
-  // instead of re-walking the headers. Nullptr until SetParsed; invalidated
-  // whenever the frame is rewritten without a fresh parse.
+  // The parse of bytes(); nullptr when the Ethernet header is truncated.
+  // Schedulers, RSS, stages and observers all read this one copy.
   const ParsedPacket* parsed() const {
-    return parsed_.has_value() ? &*parsed_ : nullptr;
+    if (!parse_fresh_) {
+      Reparse();
+    }
+    return parse_.has_value() ? &*parse_ : nullptr;
   }
-  void SetParsed(std::optional<ParsedPacket> parsed) {
-    parsed_ = std::move(parsed);
-  }
-  void InvalidateParse() { parsed_.reset(); }
+
+  bool checksums_ok() const { return checksums_ok_; }
+
+  // RX checksum verification through the memo: true when checksums_ok(),
+  // otherwise runs FrameChecksumsValid and sets the bit on success. Frames
+  // with no parse have nothing to verify and pass without setting it.
+  bool VerifyChecksums();
+
+  // The invariant the memos promise: a filled parse equals a fresh
+  // ParseFrame(bytes()), and checksums_ok() implies the frame verifies.
+  // A full re-parse and checksum pass — for assertions and tests only.
+  bool MemosExact() const;
 
  private:
   friend class PacketPool;
   friend struct PacketDeleter;
+  friend struct PacketMemoAccess;
+
+  void ForgetMemos() {
+    parse_fresh_ = false;
+    checksums_ok_ = false;
+  }
+  void Reparse() const;
 
   std::vector<uint8_t> bytes_;
   PacketMeta meta_;
-  std::optional<ParsedPacket> parsed_;
+  // Lazily computed, hence mutable: filling the memo does not change what
+  // the packet is. Single-threaded, like the simulator that owns it.
+  mutable std::optional<ParsedPacket> parse_;
+  mutable bool parse_fresh_ = false;
+  bool checksums_ok_ = false;  // implies parse_fresh_
   // Owning pool, or nullptr for plain heap/stack packets. Set by PacketPool
   // on acquisition; PacketDeleter routes the buffer back through it.
   PacketPool* pool_ = nullptr;

@@ -1,6 +1,8 @@
 // Frame construction helpers used by workloads, tests and the dataplane
-// (ARP replies, NAT rewrites). All builders produce complete wire frames
-// with valid IPv4 and transport checksums.
+// (ARP replies, NAT rewrites). The Build* functions produce complete wire
+// frames with valid IPv4 and transport checksums; the Alloc*Packet
+// functions leave the transport checksum unset for a caller that publishes
+// through checksum offload (norman::Socket::SendFrame).
 #ifndef NORMAN_NET_PACKET_BUILDER_H_
 #define NORMAN_NET_PACKET_BUILDER_H_
 
@@ -58,8 +60,10 @@ std::vector<uint8_t> BuildArpReply(MacAddress sender_mac,
 
 // Pooled-packet builders: identical wire frames, but the buffer comes from
 // PacketPool::Default() so steady-state construction performs no heap
-// allocation. These are the hot-path entry points; the std::vector builders
-// above remain for callers that want raw bytes.
+// allocation, and the packet's parse memo is filled from the headers just
+// serialized with checksums_ok() set — a built frame is never re-parsed or
+// re-verified. These are the hot-path entry points; the std::vector
+// builders above remain for callers that want raw bytes.
 PacketPtr BuildUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, std::span<const uint8_t> payload,
                          uint8_t dscp = 0, uint8_t ttl = 64);
@@ -76,12 +80,24 @@ PacketPtr BuildArpReplyPacket(MacAddress sender_mac, Ipv4Address sender_ip,
                               MacAddress requester_mac,
                               Ipv4Address requester_ip);
 
-// In-place rewrites used by the NAT stage: update addresses/ports and fix
-// IPv4 + transport checksums incrementally. Frame must be valid IPv4+UDP/TCP.
-// Returns false if the frame cannot be rewritten (not IPv4 UDP/TCP).
-bool RewriteSource(std::span<uint8_t> frame, Ipv4Address new_src_ip,
+// Zero-copy TX frames: the headers of BuildUdpPacket / BuildTcpPacket (same
+// defaults) with `payload_size` zero bytes of payload for the caller to
+// write, and the transport checksum left zero — checksums_ok() is false
+// until checksum offload fills it. The parse memo is filled.
+PacketPtr AllocUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
+                         uint16_t dst_port, size_t payload_size);
+PacketPtr AllocTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
+                         uint16_t dst_port, uint32_t seq, uint32_t ack,
+                         uint8_t flags, size_t payload_size);
+
+// In-place rewrites used by the NAT stage and the flow cache's replay:
+// update one endpoint's address and port and fix the IPv4 and transport
+// checksums incrementally (RFC 1624). Offsets come from the packet's parse
+// memo, which is patched alongside the bytes; checksums_ok() is kept.
+// Returns false (packet untouched) unless the frame is IPv4 UDP/TCP.
+bool RewriteSource(Packet& packet, Ipv4Address new_src_ip,
                    uint16_t new_src_port);
-bool RewriteDestination(std::span<uint8_t> frame, Ipv4Address new_dst_ip,
+bool RewriteDestination(Packet& packet, Ipv4Address new_dst_ip,
                         uint16_t new_dst_port);
 
 }  // namespace norman::net

@@ -94,7 +94,7 @@ PacketPtr PacketPool::AcquireImpl(size_t size, bool zeroed) {
     p->bytes_.resize(size);
   }
   p->meta_ = PacketMeta{};
-  p->parsed_.reset();
+  p->ForgetMemos();
   p->pool_ = this;
   counters_.RecordAcquire(hit);
   return PacketPtr(p);
@@ -111,7 +111,7 @@ PacketPtr PacketPool::Adopt(std::vector<uint8_t> bytes) {
   }
   p->bytes_ = std::move(bytes);
   p->meta_ = PacketMeta{};
-  p->parsed_.reset();
+  p->ForgetMemos();
   p->pool_ = this;
   counters_.RecordAcquire(hit);
   return PacketPtr(p);

@@ -39,6 +39,8 @@ struct ParsedPacket {
   size_t payload_size() const {
     return payload_offset == 0 ? 0 : frame_size - payload_offset;
   }
+
+  friend bool operator==(const ParsedPacket&, const ParsedPacket&) = default;
 };
 
 // Parses a frame. Returns nullopt only if the Ethernet header itself is

@@ -34,9 +34,10 @@ struct StageResult {
   // Why, when verdict == kDrop. Stages returning kDrop must tag a reason;
   // the NIC attributes the drop to exactly one reason counter.
   DropReason drop_reason = DropReason::kNone;
-  // Set by stages that rewrote the frame bytes (NAT). Tells the NIC the
-  // cached parse is stale and must be refreshed before anything downstream
-  // reads headers.
+  // Set by stages that rewrote the frame bytes (NAT). Tells the NIC to
+  // refresh its context's views of the frame and of the packet's parse memo
+  // (which the rewrite patched in place, or dropped if it went through
+  // mutable_bytes()) and to summarize the rewrite for the flow cache.
   bool mutated = false;
 };
 
@@ -86,10 +87,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual std::string_view name() const = 0;
-  // True if Enqueue reads ctx.parsed to classify packets. Disciplines that
-  // ignore the packet contents (FIFO) return false, letting the NIC skip
-  // re-parsing the (possibly stage-rewritten) frame before enqueue.
-  virtual bool NeedsClassification() const { return true; }
   // May drop (returns false) when its queues are full.
   virtual bool Enqueue(net::PacketPtr packet,
                        const overlay::PacketContext& ctx) = 0;

@@ -1,5 +1,6 @@
 #include "src/nic/smart_nic.h"
 
+#include <cassert>
 #include <span>
 #include <string>
 #include <utility>
@@ -579,10 +580,9 @@ StageResult SmartNic::RunStages(const LaneRefs& lr,
     const StageResult r = stage->Process(packet, ctx);
     aggregate.overlay_instructions += r.overlay_instructions;
     if (r.mutated) {
-      // The stage rewrote the frame (NAT): refresh the single-pass parse so
-      // downstream stages, the scheduler, and RSS see the new headers. This
-      // is the only re-parse on the whole datapath.
-      packet.SetParsed(net::ParseFrame(packet.bytes()));
+      // The stage rewrote the frame (NAT, which patches the packet's parse
+      // memo in place): point the context at the current views so
+      // downstream stages, the scheduler, and RSS see the new headers.
       ctx.parsed = packet.parsed();
       ctx.frame = packet.bytes();
     }
@@ -665,13 +665,10 @@ uint32_t SmartNic::ReplayFastPath(const FlowCacheEntry& entry,
       // Apply the cached transform exactly where the mutating stage sat, so
       // observers after it see the rewritten frame just as on a miss.
       if (entry.rewrite_kind == RewriteKind::kSource) {
-        net::RewriteSource(packet.mutable_bytes(), entry.rewrite_ip,
-                           entry.rewrite_port);
+        net::RewriteSource(packet, entry.rewrite_ip, entry.rewrite_port);
       } else if (entry.rewrite_kind == RewriteKind::kDestination) {
-        net::RewriteDestination(packet.mutable_bytes(), entry.rewrite_ip,
-                                entry.rewrite_port);
+        net::RewriteDestination(packet, entry.rewrite_ip, entry.rewrite_port);
       }
-      packet.SetParsed(net::ParseFrame(packet.bytes()));
       ctx.parsed = packet.parsed();
       ctx.frame = packet.bytes();
     }
@@ -766,6 +763,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                                    Nanos now, TxBurst& burst,
                                    FastPathMemo* memo, const LaneRefs& lr) {
   burst.seen.Add();
+  // Debug builds check net::Packet's memo invariant at every NIC entry.
+  assert(packet->MemosExact() && "packet memo does not match its bytes");
 
   // Attribution context for the whole descriptor: everything below charges
   // under dispatch;nic.tx for the flow's owning pid (resolved through the
@@ -817,9 +816,9 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   prof_->Charge(prof_tx_pipe_site_, lr.core_pipe, owner_slot, pipe_cost);
   sim_->tracer().Record(trace_id, "tx.pipeline", dma_done, pipe_done);
 
-  // Single-pass parse: stored on the packet, refreshed only if a stage
-  // mutates the frame. Everything downstream reads this copy.
-  packet->SetParsed(net::ParseFrame(packet->bytes()));
+  // The packet's parse memo — installed by SendFrame's checksum offload or
+  // a pooled builder, so normally no parse happens here — is the one copy
+  // of the headers everything downstream reads.
   overlay::PacketContext ctx = MakeContext(*packet, packet->parsed(), entry,
                                            net::Direction::kTx);
   // Per-flow accounting (norman-top). Pure observation: no events, no cost.
@@ -953,9 +952,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       [this, p = std::move(packet), conn_meta,
        tp_core = lr.tp_core]() mutable {
     // Rebuild a minimal context for the scheduler (classification inputs).
-    // The packet's cached parse is already fresh — RunStages re-parsed in
-    // place if (and only if) a stage rewrote the frame — so classifying
-    // disciplines read it directly instead of re-parsing.
+    // The packet's parse memo is exact — a rewriting stage patched it in
+    // place — so classifying disciplines read it directly.
     overlay::PacketContext sched_ctx;
     sched_ctx.frame = p->bytes();
     sched_ctx.parsed = p->parsed();
@@ -1154,16 +1152,15 @@ void SmartNic::DeliverFromWire(net::PacketPtr packet, Nanos now) {
   // Seen-counting happens at the wire regardless of path, so frames a full
   // lane ingress ring refuses still count as seen.
   telemetry::HotIncrement(stats_.rx_seen_);
+  assert(packet->MemosExact() && "packet memo does not match its bytes");
   if (lanes_.empty()) {
-    ProcessRxFrame(default_refs_, std::move(packet), now,
-                   /*parsed_at_ingress=*/false);
+    ProcessRxFrame(default_refs_, std::move(packet), now);
     return;
   }
-  // Sharded wire ingress: the MAC parses the frame exactly as received and
-  // steers on those pre-rewrite headers into a lane's ingress ring — unlike
-  // the serial path, which picks a queue only after the stage chain may
-  // have rewritten them (see DESIGN.md "Multi-queue sharding").
-  packet->SetParsed(net::ParseFrame(packet->bytes()));
+  // Sharded wire ingress: the MAC steers on the frame's headers exactly as
+  // received (its parse memo) into a lane's ingress ring — unlike the serial
+  // path, which picks a queue only after the stage chain may have rewritten
+  // them (see DESIGN.md "Multi-queue sharding").
   uint16_t queue = 0;
   uint32_t owner_pid = 0;
   uint32_t owner_tenant = 0;
@@ -1202,8 +1199,7 @@ void SmartNic::DrainRxLane(uint16_t queue) {
       lane.rings.PopRxN(std::span<net::PacketPtr>(lane.burst));
   const LaneRefs refs = LaneRefsFor(queue);
   for (uint32_t i = 0; i < n; ++i) {
-    ProcessRxFrame(refs, std::move(lane.burst[i]), now,
-                   /*parsed_at_ingress=*/true);
+    ProcessRxFrame(refs, std::move(lane.burst[i]), now);
   }
   if (!lane.rings.rx().empty() && !lane.rx_drain_scheduled) {
     lane.rx_drain_scheduled = true;
@@ -1212,7 +1208,7 @@ void SmartNic::DrainRxLane(uint16_t queue) {
 }
 
 void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
-                              Nanos now, bool parsed_at_ingress) {
+                              Nanos now) {
   // RX frames are processed one event each (the serial path delivers them
   // straight off the wire; lane drains run a burst inside one event), so
   // there is no burst scope to accumulate into; the volume counters go
@@ -1224,15 +1220,12 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   const uint32_t trace_id = sim_->tracer().SampleArrival();
   packet->meta().trace_id = trace_id;
 
-  // Single-pass parse, stored on the packet (see ProcessTxDescriptor). The
-  // sharded steering step already parsed the pristine frame at ingress, and
-  // nothing between the ring and here touches the bytes. Parse and flow
-  // match happen before the pipeline serve — both are pure (no virtual
-  // time, no counters), and the match result names the owning tenant whose
-  // cycle share gates the pipeline below.
-  if (!parsed_at_ingress) {
-    packet->SetParsed(net::ParseFrame(packet->bytes()));
-  }
+  // Headers come from the packet's parse memo (see ProcessTxDescriptor):
+  // the sender's builder or checksum offload filled it and NAT patched it,
+  // so a clean frame is not re-parsed here. Flow match happens before the
+  // pipeline serve — it is pure (no virtual time, no counters), and the
+  // match result names the owning tenant whose cycle share gates the
+  // pipeline below.
   std::optional<net::FiveTuple> flow;
   if (packet->parsed() != nullptr) {
     flow = packet->parsed()->flow();
@@ -1273,9 +1266,11 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   // Graceful degradation under wire faults: frames whose IPv4 or L4
   // checksum no longer verifies were damaged in flight and are dropped here,
   // before any stage or application can act on corrupt bytes. Zero virtual
-  // time — the MAC verifies at line rate.
-  if (options_.verify_rx_checksums && packet->parsed() != nullptr &&
-      !net::FrameChecksumsValid(packet->bytes(), *packet->parsed())) {
+  // time — the MAC verifies at line rate. Frames whose checksum bit is
+  // still set (no write since they were built or offloaded) skip the pass,
+  // as Linux skips CHECKSUM_UNNECESSARY skbs; any damage went through
+  // mutable_bytes(), which cleared the bit.
+  if (options_.verify_rx_checksums && !packet->VerifyChecksums()) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt,
                       entry != nullptr ? entry->owner.owner_pid : 0,
                       lr.tp_core, tenant);
@@ -1372,7 +1367,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
 
   // Steer. Sharded: the lane was chosen at wire ingress (pre-rewrite
   // headers) and IS the queue. Serial: explicit flow-table queue wins,
-  // otherwise RSS over the cached parse — post-rewrite here, so steering
+  // otherwise RSS over the parse memo — post-rewrite here, so steering
   // keys on the headers actually delivered to the host (a NAT'd frame
   // hashes as rewritten).
   uint16_t queue;

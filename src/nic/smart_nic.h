@@ -402,11 +402,11 @@ class SmartNic {
   };
 
   // Runs the chain, aggregating overlay instruction counts and stopping at
-  // the first non-Accept verdict. Stages that report `mutated` trigger an
-  // in-place re-parse, so `ctx.parsed` (and the packet's cached parse) is
-  // always fresh for downstream stages, schedulers, and RSS — the frame is
-  // parsed exactly once unless something rewrote it. When `mint` is
-  // non-null the walk is summarized into a prospective flow-cache entry.
+  // the first non-Accept verdict. After a stage that reports `mutated`,
+  // `ctx` is re-pointed at the packet's bytes and parse memo (which the
+  // rewrite kept exact), so downstream stages, schedulers, and RSS see the
+  // new headers without a re-parse. When `mint` is non-null the walk is
+  // summarized into a prospective flow-cache entry.
   // For traced packets (trace_id != 0) emits one span per executed stage
   // starting at `stage_start`, each charged stage latency + its overlay
   // instructions, so the spans tile exactly onto the pipeline's cost-model
@@ -468,8 +468,8 @@ class SmartNic {
                         uint32_t owner_slot);
 
   // Replays a cached entry instead of walking the chain: applies the cached
-  // header rewrite at its recorded chain position (re-parsing in place) and
-  // runs the observer stages flagged in the entry's bitmask, so stateful
+  // header rewrite at its recorded chain position (patching the parse memo)
+  // and runs the observer stages flagged in the entry's bitmask, so stateful
   // stages see hit packets exactly as they would on a miss. Returns the
   // overlay instructions the observers executed.
   uint32_t ReplayFastPath(const FlowCacheEntry& entry,
@@ -514,11 +514,8 @@ class SmartNic {
                            FastPathMemo* memo, const LaneRefs& lr);
   void ConsumeTxRing(net::ConnectionId conn_id);
   // The RX datapath body (pipeline → stages/fast path → flow match → DMA →
-  // ring push → notify) for one frame, charging `lr`'s resources. When
-  // `parsed_at_ingress` the sharded steering step already parsed the frame
-  // at wire arrival, so the single-pass parse is not repeated.
-  void ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet, Nanos now,
-                      bool parsed_at_ingress);
+  // ring push → notify) for one frame, charging `lr`'s resources.
+  void ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet, Nanos now);
   // Batched lane drains: pop up to kLaneDrainBatch frames through the span
   // APIs and run them through the lane's resources; re-arm via the
   // simulator's lane-interleave schedule while frames remain.

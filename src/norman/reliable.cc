@@ -43,7 +43,7 @@ void ReliableChannel::PumpRx() {
   }
   // Drain whatever is already in the ring, then block for more. The
   // zero-copy lane keeps this loop allocation-free: Payload() reuses the
-  // frame's cached parse and HandleFrame reads the bytes in place.
+  // frame's parse memo and HandleFrame reads the bytes in place.
   while (net::PacketPtr frame = socket_->RecvFrame()) {
     HandleFrame(Socket::Payload(static_cast<const net::Packet&>(*frame)));
   }

@@ -3,22 +3,9 @@
 #include <algorithm>
 
 #include "src/net/frame_checksum.h"
-#include "src/net/parsed_packet.h"
+#include "src/net/packet_builder.h"
 
 namespace norman {
-namespace {
-
-// Reusable all-zero payload for AllocFrame (the app writes the real payload
-// afterwards through Payload()); grows monotonically, simulator-threaded.
-std::span<const uint8_t> ZeroPayload(size_t n) {
-  static std::vector<uint8_t> zeros;
-  if (zeros.size() < n) {
-    zeros.resize(n, 0);
-  }
-  return std::span<const uint8_t>(zeros).first(n);
-}
-
-}  // namespace
 
 StatusOr<Socket> Socket::Connect(kernel::Kernel* kernel, kernel::Pid pid,
                                  net::Ipv4Address remote_ip,
@@ -36,33 +23,24 @@ net::FrameEndpoints Socket::Endpoints() const {
 
 net::PacketPtr Socket::AllocFrame(size_t payload_size) {
   const auto& t = port_.tuple();
-  const auto zero = ZeroPayload(payload_size);
   if (t.proto == net::IpProto::kTcp) {
-    auto p = net::BuildTcpPacket(Endpoints(), t.src_port, t.dst_port,
-                                 next_tcp_seq_, 0, net::TcpFlags::kAck, zero);
+    auto p = net::AllocTcpPacket(Endpoints(), t.src_port, t.dst_port,
+                                 next_tcp_seq_, 0, net::TcpFlags::kAck,
+                                 payload_size);
     next_tcp_seq_ += static_cast<uint32_t>(payload_size);
     return p;
   }
-  return net::BuildUdpPacket(Endpoints(), t.src_port, t.dst_port, zero);
+  return net::AllocUdpPacket(Endpoints(), t.src_port, t.dst_port,
+                             payload_size);
 }
 
 std::span<uint8_t> Socket::Payload(net::Packet& frame) {
-  auto parsed = net::ParseFrame(frame.bytes());
-  if (!parsed || parsed->payload_offset == 0) {
-    return {};
-  }
-  return frame.mutable_bytes().subspan(parsed->payload_offset);
+  return frame.mutable_payload();
 }
 
 std::span<const uint8_t> Socket::Payload(const net::Packet& frame) {
-  if (const net::ParsedPacket* cached = frame.parsed()) {
-    if (cached->payload_offset == 0) {
-      return {};
-    }
-    return frame.bytes().subspan(cached->payload_offset);
-  }
-  auto parsed = net::ParseFrame(frame.bytes());
-  if (!parsed || parsed->payload_offset == 0) {
+  const net::ParsedPacket* parsed = frame.parsed();
+  if (parsed == nullptr || parsed->payload_offset == 0) {
     return {};
   }
   return frame.bytes().subspan(parsed->payload_offset);
@@ -72,10 +50,11 @@ Status Socket::SendFrame(net::PacketPtr frame) {
   if (!valid()) {
     return FailedPreconditionError("socket not connected");
   }
-  // TX checksum offload: the application may have rewritten the payload of
-  // an AllocFrame() frame after the builder checksummed it; the "hardware"
-  // recomputes IPv4/L4 checksums on the way out.
-  net::FixupFrameChecksums(frame->mutable_bytes());
+  net::FixupPacketChecksums(*frame);
+  return Publish(std::move(frame));
+}
+
+Status Socket::Publish(net::PacketPtr frame) {
   const size_t size = frame->size();
   frame->meta().created_at = kernel_->simulator()->Now();
   frame->meta().connection = port_.conn_id();
@@ -109,7 +88,7 @@ Status Socket::Send(std::span<const uint8_t> payload) {
   } else {
     frame = net::BuildUdpPacket(Endpoints(), t.src_port, t.dst_port, payload);
   }
-  return SendFrame(std::move(frame));
+  return Publish(std::move(frame));
 }
 
 net::PacketPtr Socket::RecvFrame() {
@@ -141,7 +120,7 @@ StatusOr<std::vector<uint8_t>> Socket::Recv() {
   if (p == nullptr) {
     return UnavailableError("no data");
   }
-  auto payload = Payload(*p);
+  const auto payload = Payload(static_cast<const net::Packet&>(*p));
   return std::vector<uint8_t>(payload.begin(), payload.end());
 }
 

@@ -103,20 +103,24 @@ class Socket {
 
   // ---- Zero-copy interface -------------------------------------------------
   // Allocates a frame with headers prebuilt for this connection and
-  // `payload_size` bytes of payload space; the caller fills Payload() and
-  // passes it to SendFrame. No further copies happen on the TX path.
+  // `payload_size` zeroed bytes of payload space; the caller fills Payload()
+  // and passes it to SendFrame. No further copies happen on the TX path, and
+  // no checksum is computed until SendFrame.
   net::PacketPtr AllocFrame(size_t payload_size);
   // Payload view of a frame produced by AllocFrame / received by RecvFrame.
+  // Writing through it keeps the frame's parse memo (headers cannot change)
+  // and clears its checksum bit.
   static std::span<uint8_t> Payload(net::Packet& frame);
-  // Read-only payload view. Uses the frame's cached single-pass parse when
-  // present (every frame the NIC delivered has one), so hot RX loops pay no
-  // re-parse.
+  // Read-only payload view through the frame's parse memo, so hot RX loops
+  // pay no re-parse.
   static std::span<const uint8_t> Payload(const net::Packet& frame);
 
-  // Publishes a frame. Models TX checksum offload: IPv4/L4 checksums are
-  // recomputed on the way out, which is what makes the AllocFrame/Payload
-  // zero-copy path legal (the builder checksummed a zero payload; the app
-  // overwrote it).
+  // Publishes a frame. This is the trust boundary: the application had raw
+  // write access to the bytes, so the frame gets exactly one fresh parse,
+  // fused with TX checksum offload (IPv4/L4 checksums recomputed, both
+  // memos installed for the dataplane to reuse). That is what makes the
+  // AllocFrame/Payload zero-copy path legal: AllocFrame leaves the transport
+  // checksum unset, the app writes the payload, the "hardware" fills it.
   Status SendFrame(net::PacketPtr frame);
   // Whole received frame (headers included), or nullptr when empty.
   net::PacketPtr RecvFrame();
@@ -136,6 +140,10 @@ class Socket {
       : kernel_(kernel), port_(std::move(port)) {}
 
   net::FrameEndpoints Endpoints() const;
+  // The tail of SendFrame after checksum offload: stamps and enqueues a
+  // frame whose checksums are already valid. Send() builds its frames
+  // itself, so they come straight here.
+  Status Publish(net::PacketPtr frame);
 
   kernel::Kernel* kernel_ = nullptr;
   kernel::AppPort port_;

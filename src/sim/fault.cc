@@ -153,6 +153,8 @@ void FaultInjector::Deliver(Link& link, net::PacketPtr packet, Nanos when) {
 }
 
 void FaultInjector::Corrupt(Link& link, net::Packet& packet) {
+  // Raw write access drops the packet's parse and checksum memos, so RX
+  // re-parses the damaged frame and verifies it in full.
   auto bytes = packet.mutable_bytes();
   // Damage past the Ethernet header: L2 corruption would be caught by the
   // (unmodelled) FCS, while IP/L4 damage is what RX verification must find.
@@ -167,7 +169,6 @@ void FaultInjector::Corrupt(Link& link, net::Packet& packet) {
         net::kEthernetHeaderSize + link.rng.NextBounded(span);
     bytes[idx] ^= static_cast<uint8_t>(1 + link.rng.NextBounded(255));
   }
-  packet.InvalidateParse();
   link.stats.corrupted++;
   injected_corrupt_->Increment();
   EmitFault(sim_, telemetry::FaultActivation::kCorrupt,

@@ -23,17 +23,9 @@ void TestBed::HandleEgress(net::PacketPtr packet) {
     egress_hook_(*packet);
   }
   if (options_.echo) {
-    // Egress frames carry a fresh cached parse: the NIC parses on pipeline
-    // entry and re-parses in place whenever a stage mutates the frame, so
-    // re-walking the headers here would be pure per-frame overhead. Frames
-    // that somehow arrive unparsed (hand-built tests) fall back to a local
-    // parse.
-    std::optional<net::ParsedPacket> local;
+    // Egress frames carry the parse memo the datapath kept exact, so the
+    // peer reads the headers without re-walking them.
     const net::ParsedPacket* parsed = packet->parsed();
-    if (parsed == nullptr) {
-      local = net::ParseFrame(packet->bytes());
-      parsed = local.has_value() ? &*local : nullptr;
-    }
     if (parsed != nullptr && parsed->is_ipv4() &&
         (parsed->is_udp() || parsed->is_tcp())) {
       // Build the mirrored response at the peer.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -120,33 +121,35 @@ TEST(PacketBuilderTest, ArpReplyIsUnicast) {
 }
 
 TEST(RewriteTest, SourceRewritePreservesChecksums) {
-  auto frame = BuildUdpFrame(TestEndpoints(), 1000, 2000, Payload(40));
-  ASSERT_TRUE(RewriteSource(frame, Ipv4Address::FromOctets(192, 168, 9, 9),
+  Packet packet(BuildUdpFrame(TestEndpoints(), 1000, 2000, Payload(40)));
+  ASSERT_TRUE(RewriteSource(packet, Ipv4Address::FromOctets(192, 168, 9, 9),
                             31337));
+  const auto frame = packet.bytes();
   auto p = ParseFrame(frame);
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_udp());
   EXPECT_EQ(p->ipv4->src, Ipv4Address::FromOctets(192, 168, 9, 9));
   EXPECT_EQ(p->udp->src_port, 31337);
   EXPECT_EQ(p->ipv4->dst, Ipv4Address::FromOctets(10, 0, 0, 2));  // untouched
-  EXPECT_TRUE(Ipv4Header::ChecksumValid(
-      std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)));
+  EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)));
   EXPECT_TRUE(TransportChecksumValid(*p, frame));
+  EXPECT_EQ(*packet.parsed(), *p);  // the memo was patched, not dropped
 }
 
 TEST(RewriteTest, DestinationRewritePreservesChecksums) {
-  auto frame = BuildTcpFrame(TestEndpoints(), 1000, 2000, 1, 2,
-                             TcpFlags::kAck, Payload(10));
-  ASSERT_TRUE(RewriteDestination(frame,
+  Packet packet(BuildTcpFrame(TestEndpoints(), 1000, 2000, 1, 2,
+                              TcpFlags::kAck, Payload(10)));
+  ASSERT_TRUE(RewriteDestination(packet,
                                  Ipv4Address::FromOctets(172, 16, 5, 5), 80));
+  const auto frame = packet.bytes();
   auto p = ParseFrame(frame);
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_tcp());
   EXPECT_EQ(p->ipv4->dst, Ipv4Address::FromOctets(172, 16, 5, 5));
   EXPECT_EQ(p->tcp->dst_port, 80);
-  EXPECT_TRUE(Ipv4Header::ChecksumValid(
-      std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)));
+  EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)));
   EXPECT_TRUE(TransportChecksumValid(*p, frame));
+  EXPECT_EQ(*packet.parsed(), *p);
 }
 
 TEST(RewriteTest, RandomizedRewritesAlwaysChecksumClean) {
@@ -154,7 +157,7 @@ TEST(RewriteTest, RandomizedRewritesAlwaysChecksumClean) {
   for (int trial = 0; trial < 200; ++trial) {
     const bool udp = rng.NextBool(0.5);
     const auto payload = Payload(rng.NextBounded(200));
-    auto frame =
+    Packet packet(
         udp ? BuildUdpFrame(TestEndpoints(),
                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
@@ -163,26 +166,31 @@ TEST(RewriteTest, RandomizedRewritesAlwaysChecksumClean) {
                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
                             rng.NextU32(), rng.NextU32(), TcpFlags::kAck,
-                            payload);
+                            payload));
     const Ipv4Address new_ip{rng.NextU32()};
     const auto new_port = static_cast<uint16_t>(rng.NextInRange(1, 65535));
-    ASSERT_TRUE(rng.NextBool(0.5) ? RewriteSource(frame, new_ip, new_port)
-                                  : RewriteDestination(frame, new_ip,
+    ASSERT_TRUE(rng.NextBool(0.5) ? RewriteSource(packet, new_ip, new_port)
+                                  : RewriteDestination(packet, new_ip,
                                                        new_port));
+    const auto frame = packet.bytes();
     auto p = ParseFrame(frame);
     ASSERT_TRUE(p.has_value());
-    EXPECT_TRUE(Ipv4Header::ChecksumValid(
-        std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)))
+    EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)))
         << "trial " << trial;
     EXPECT_TRUE(TransportChecksumValid(*p, frame)) << "trial " << trial;
+    EXPECT_EQ(*packet.parsed(), *p) << "trial " << trial;
   }
 }
 
 TEST(RewriteTest, NonIpFrameRejected) {
-  auto frame = BuildArpRequest(MacAddress::ForHost(1),
-                               Ipv4Address::FromOctets(10, 0, 0, 1),
-                               Ipv4Address::FromOctets(10, 0, 0, 2));
-  EXPECT_FALSE(RewriteSource(frame, Ipv4Address{1}, 1));
+  Packet packet(BuildArpRequest(MacAddress::ForHost(1),
+                                Ipv4Address::FromOctets(10, 0, 0, 1),
+                                Ipv4Address::FromOctets(10, 0, 0, 2)));
+  const std::vector<uint8_t> before(packet.bytes().begin(),
+                                    packet.bytes().end());
+  EXPECT_FALSE(RewriteSource(packet, Ipv4Address{1}, 1));
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         packet.bytes().begin(), packet.bytes().end()));
 }
 
 TEST(ParseFrameTest, UnknownEtherTypeKeepsEthOnly) {

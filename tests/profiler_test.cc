@@ -126,6 +126,21 @@ TEST(ProfilerConservationTest, FlowCacheHitDominatedRun) {
   }
 }
 
+TEST(ProfilerDeathTest, CoreOverflowIsFatal) {
+  Profiler prof;
+  for (uint32_t i = 0; i < Profiler::kMaxCores; ++i) {
+    EXPECT_EQ(prof.RegisterCore("core" + std::to_string(i),
+                                Profiler::CoreKind::kHost,
+                                [] { return Nanos{0}; }),
+              i);
+  }
+  // One past the cap must not fold into the last core and misattribute
+  // its cycles: it aborts, in release builds too.
+  EXPECT_DEATH(prof.RegisterCore("one_too_many", Profiler::CoreKind::kHost,
+                                 [] { return Nanos{0}; }),
+               "one_too_many.*kMaxCores");
+}
+
 // Folded flamegraph stacks must tile each core's busy time exactly: the
 // per-(path,core) rows plus the explicit "[unaccounted]" row sum to
 // busy_ns, and the export is sorted (byte-stable).
