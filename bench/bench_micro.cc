@@ -24,8 +24,9 @@
 #include "src/nic/flow_cache.h"
 #include "src/nic/rss.h"
 #include "src/nic/sram.h"
+#include "src/nic/top_talkers.h"
 #include "src/norman/socket.h"
-#include "src/overlay/interpreter.h"
+#include "src/overlay/executable.h"
 #include "src/sim/simulator.h"
 #include "src/workload/generators.h"
 #include "src/workload/testbed.h"
@@ -94,10 +95,11 @@ void BM_InternetChecksum1500(benchmark::State& state) {
 }
 BENCHMARK(BM_InternetChecksum1500);
 
+// The decoded form the dataplane runs (overlay::Load at install time).
 void BM_OverlayExecute(benchmark::State& state) {
   const Fixture f;
   // A representative 12-instruction match program.
-  const overlay::Program prog = dataplane::CompileFilterChain(
+  const auto prog = overlay::Load(dataplane::CompileFilterChain(
       {[] {
         dataplane::FilterRule r;
         r.proto = net::IpProto::kUdp;
@@ -106,9 +108,9 @@ void BM_OverlayExecute(benchmark::State& state) {
         r.action = dataplane::FilterAction::kDrop;
         return r;
       }()},
-      dataplane::FilterAction::kAccept);
+      dataplane::FilterAction::kAccept));
   for (auto _ : state) {
-    auto r = overlay::Execute(prog, f.ctx);
+    auto r = overlay::Execute(*prog, f.ctx);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -132,6 +134,31 @@ void BM_FilterChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FilterChain)->Arg(1)->Arg(8)->Arg(32)->Arg(60);
+
+// Top-talkers accounting under churn: 1,024 flows through a 64-entry table,
+// so most records admit a new flow by evicting the smallest entry.
+void BM_TopTalkersChurn(benchmark::State& state) {
+  telemetry::MetricsRegistry reg;
+  nic::SramAllocator sram(1 * kMiB);
+  nic::TopTalkers talkers(&sram, &reg, /*max_entries=*/64);
+  std::vector<net::FiveTuple> flows;
+  for (uint16_t i = 0; i < 1024; ++i) {
+    flows.push_back({net::Ipv4Address::FromOctets(10, 0, 0, 1),
+                     net::Ipv4Address::FromOctets(10, 0, 0, 2),
+                     static_cast<uint16_t>(20000 + i), 443,
+                     net::IpProto::kUdp});
+  }
+  uint64_t lcg = 1;
+  Nanos now = 0;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    talkers.Record(flows[(lcg >> 33) % flows.size()], 1, 128, ++now);
+  }
+  state.counters["evict_frac"] = benchmark::Counter(
+      static_cast<double>(talkers.evicted()) /
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1)));
+}
+BENCHMARK(BM_TopTalkersChurn);
 
 // The flow verdict cache's exact-match lookup — the operation that replaces
 // a full chain walk on the fast path. Steady-state: one resident entry hit

@@ -1,8 +1,6 @@
 #include "src/dataplane/filter_engine.h"
 
 #include "src/common/logging.h"
-#include "src/overlay/interpreter.h"
-#include "src/overlay/verifier.h"
 
 namespace norman::dataplane {
 namespace {
@@ -188,33 +186,36 @@ void FilterEngine::SetDefaultAction(FilterAction action) {
 
 Status FilterEngine::Recompile() {
   overlay::Program candidate = CompileFilterChain(rules_, default_action_);
-  NORMAN_RETURN_IF_ERROR(overlay::VerifyProgram(candidate));
-  compiled_ = std::move(candidate);
+  NORMAN_ASSIGN_OR_RETURN(overlay::Executable executable,
+                          overlay::Load(candidate));
+  all_ = {std::move(candidate), std::move(executable)};
   // Per-protocol buckets are strict subsequences of a chain that just
   // verified, so their verification cannot fail.
   const auto bucket = [&](net::IpProto proto) {
     overlay::Program p = CompileFilterSubset(
         rules_, default_action_,
         [proto](const FilterRule& r) { return !r.proto || *r.proto == proto; });
-    NORMAN_CHECK(overlay::VerifyProgram(p).ok());
-    return p;
+    auto loaded = overlay::Load(p);
+    NORMAN_CHECK(loaded.ok()) << loaded.status();
+    return CompiledChain{std::move(p), *std::move(loaded)};
   };
-  tcp_program_ = bucket(net::IpProto::kTcp);
-  udp_program_ = bucket(net::IpProto::kUdp);
-  icmp_program_ = bucket(net::IpProto::kIcmp);
+  tcp_ = bucket(net::IpProto::kTcp);
+  udp_ = bucket(net::IpProto::kUdp);
+  icmp_ = bucket(net::IpProto::kIcmp);
   return OkStatus();
 }
 
-const overlay::Program& FilterEngine::compiled_for(net::IpProto proto) const {
+const FilterEngine::CompiledChain& FilterEngine::chain_for(
+    net::IpProto proto) const {
   switch (proto) {
     case net::IpProto::kTcp:
-      return tcp_program_;
+      return tcp_;
     case net::IpProto::kUdp:
-      return udp_program_;
+      return udp_;
     case net::IpProto::kIcmp:
-      return icmp_program_;
+      return icmp_;
   }
-  return compiled_;
+  return all_;
 }
 
 nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
@@ -222,18 +223,17 @@ nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
   // Bucket dispatch: a parsed IPv4 frame runs only the rules its protocol
   // could match; everything else (ARP, unparsed, exotic protos) runs the
   // full chain, whose kIsIpv4/kIpProto guards keep semantics identical.
-  const overlay::Program* program = &compiled_;
+  const CompiledChain* chain = &all_;
   if (ctx.parsed != nullptr && ctx.parsed->is_ipv4()) {
     const net::IpProto proto = ctx.parsed->ipv4->protocol;
     if (proto == net::IpProto::kTcp || proto == net::IpProto::kUdp ||
         proto == net::IpProto::kIcmp) {
-      program = &compiled_for(proto);
+      chain = &chain_for(proto);
     }
   }
-  auto exec = overlay::Execute(*program, ctx);
-  NORMAN_CHECK(exec.ok()) << exec.status();
-  const auto rule_index = static_cast<uint32_t>(exec->verdict >> 2);
-  const auto action = static_cast<FilterAction>(exec->verdict & 0x3);
+  const overlay::ExecResult exec = overlay::Execute(chain->executable, ctx);
+  const auto rule_index = static_cast<uint32_t>(exec.verdict >> 2);
+  const auto action = static_cast<FilterAction>(exec.verdict & 0x3);
   if (tp_ != nullptr && tp_->armed(telemetry::Probe::kFilterVerdict)) {
     telemetry::TraceFlow flow{};
     flow.dir = ctx.direction == net::Direction::kTx ? telemetry::kDirTx
@@ -252,7 +252,7 @@ nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
     }
     tp_->Emit(telemetry::Probe::kFilterVerdict, telemetry::Tracepoints::kCoreNic,
               ctx.conn.owner_pid, static_cast<uint64_t>(action), rule_index,
-              exec->instructions_executed, &flow);
+              exec.instructions_executed, &flow);
   }
   if (rule_index == kDefaultRuleIndex) {
     ++default_hits_;
@@ -260,7 +260,7 @@ nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
     ++hits_[rule_index];
   }
   nic::StageResult result;
-  result.overlay_instructions = exec->instructions_executed;
+  result.overlay_instructions = exec.instructions_executed;
   switch (action) {
     case FilterAction::kAccept:
       result.verdict = nic::Verdict::kAccept;

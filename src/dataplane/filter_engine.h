@@ -8,9 +8,10 @@
 //
 // First-match-wins semantics, like an iptables chain; a configurable default
 // policy applies when nothing matches. The ruleset is *compiled to an
-// overlay program* and executed by the overlay interpreter — the engine is
-// literally running on the simulated soft processor, and its per-packet
-// instruction count is charged by the NIC at overlay_instr_ns each.
+// overlay program*, verified and decoded once per rule change, and executed
+// by the overlay engine — the engine is literally running on the simulated
+// soft processor, and its per-packet instruction count is charged by the
+// NIC at overlay_instr_ns each.
 #ifndef NORMAN_DATAPLANE_FILTER_ENGINE_H_
 #define NORMAN_DATAPLANE_FILTER_ENGINE_H_
 
@@ -23,6 +24,7 @@
 #include "src/common/tracepoint.h"
 #include "src/net/types.h"
 #include "src/nic/pipeline.h"
+#include "src/overlay/executable.h"
 #include "src/overlay/isa.h"
 
 namespace norman::dataplane {
@@ -98,11 +100,13 @@ class FilterEngine : public nic::PipelineStage {
 
   // The compiled overlay program for the full chain (the bucket used for
   // frames whose protocol has no dedicated bucket).
-  const overlay::Program& compiled() const { return compiled_; }
+  const overlay::Program& compiled() const { return all_.program; }
 
   // The program Process() would run for a frame of `proto` (introspection
   // for tests/tools; kNone-style fallthrough uses compiled()).
-  const overlay::Program& compiled_for(net::IpProto proto) const;
+  const overlay::Program& compiled_for(net::IpProto proto) const {
+    return chain_for(proto).program;
+  }
 
   nic::StageResult Process(net::Packet& packet,
                       const overlay::PacketContext& ctx) override;
@@ -111,9 +115,16 @@ class FilterEngine : public nic::PipelineStage {
   void AttachTracepoints(telemetry::Tracepoints* tp) { tp_ = tp; }
 
  private:
-  // Rebuilds the compiled program; on failure the ruleset must be restored
+  // A compiled program and its load-time decoded form, which Process runs.
+  struct CompiledChain {
+    overlay::Program program;
+    overlay::Executable executable;
+  };
+
+  // Rebuilds the compiled programs; on failure the ruleset must be restored
   // by the caller before returning.
   Status Recompile();
+  const CompiledChain& chain_for(net::IpProto proto) const;
 
   FilterAction default_action_;
   std::vector<FilterRule> rules_;
@@ -122,14 +133,14 @@ class FilterEngine : public nic::PipelineStage {
   // Full chain; also serves frames outside the bucketed protocols (ARP,
   // unparseable, exotic IP protos), where proto-specific rules cannot match
   // anyway thanks to their kIsIpv4/kIpProto guards.
-  overlay::Program compiled_;
+  CompiledChain all_;
   // Install-time protocol buckets: the chain restricted to rules that could
   // match that protocol (proto-unset rules plus proto == P), compiled with
   // *original* rule indices so first-match order and per-rule hit
   // attribution are untouched. TCP traffic never scans UDP-only rules.
-  overlay::Program tcp_program_;
-  overlay::Program udp_program_;
-  overlay::Program icmp_program_;
+  CompiledChain tcp_;
+  CompiledChain udp_;
+  CompiledChain icmp_;
   telemetry::Tracepoints* tp_ = nullptr;
 };
 

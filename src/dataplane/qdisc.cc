@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/overlay/verifier.h"
+#include "src/overlay/executable.h"
 
 namespace norman::dataplane {
 
@@ -32,12 +32,12 @@ Classifier ClassifyByDscp(std::map<uint8_t, uint32_t> dscp_to_class) {
 }
 
 Classifier ClassifyByOverlay(overlay::Program program) {
-  NORMAN_CHECK(overlay::VerifyProgram(program).ok())
-      << "classifier overlay program failed verification";
-  return [prog = std::move(program)](const overlay::PacketContext& ctx) {
-    auto r = overlay::Execute(prog, ctx);
-    NORMAN_CHECK(r.ok()) << r.status();
-    return static_cast<uint32_t>(r->verdict);
+  auto loaded = overlay::Load(program);
+  NORMAN_CHECK(loaded.ok())
+      << "classifier overlay program failed verification: "
+      << loaded.status();
+  return [exe = *std::move(loaded)](const overlay::PacketContext& ctx) {
+    return static_cast<uint32_t>(overlay::Execute(exe, ctx).verdict);
   };
 }
 

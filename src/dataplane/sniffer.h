@@ -18,6 +18,7 @@
 #include "src/common/status.h"
 #include "src/net/pcap_writer.h"
 #include "src/nic/pipeline.h"
+#include "src/overlay/executable.h"
 #include "src/overlay/isa.h"
 #include "src/sim/simulator.h"
 
@@ -80,7 +81,7 @@ class SnifferTap : public nic::PipelineStage {
   uint32_t snaplen_;
   size_t max_records_;
   bool capturing_ = false;
-  std::optional<overlay::Program> filter_;
+  std::optional<overlay::Executable> filter_;  // decoded at SetFilter
   std::vector<CaptureRecord> records_;
   net::PcapWriter pcap_;
   telemetry::Counter* overflow_;  // "sniffer.overflow"

@@ -349,18 +349,18 @@ StatusOr<Nanos> SmartNic::ControlPlane::LoadOverlay(
   if (slot >= kNumOverlaySlots) {
     return InvalidArgumentError("overlay slot out of range");
   }
-  NORMAN_RETURN_IF_ERROR(overlay::VerifyProgram(program));
+  NORMAN_ASSIGN_OR_RETURN(overlay::Executable loaded, overlay::Load(program));
   const auto& cost = nic_->options_.cost;
   const Nanos load_time =
       static_cast<Nanos>(program.size()) * cost.overlay_load_per_instr_ns +
       cost.overlay_activate_ns;
-  nic_->overlay_slots_[slot].program = program;
+  nic_->overlay_slots_[slot].program = std::move(loaded);
   ++nic_->overlay_slots_[slot].generation;
   InvalidateFastPath();
   return load_time;
 }
 
-const overlay::Program* SmartNic::ControlPlane::OverlaySlot(
+const overlay::Executable* SmartNic::ControlPlane::OverlaySlot(
     size_t slot) const {
   if (slot >= kNumOverlaySlots ||
       nic_->overlay_slots_[slot].program.empty()) {
@@ -377,7 +377,7 @@ Nanos SmartNic::ControlPlane::ReloadBitstream() {
   // A bitstream reload wipes loaded overlay programs — "the equivalent to
   // upgrading the kernel itself" (§4.4).
   for (auto& slot : nic_->overlay_slots_) {
-    slot.program.clear();
+    slot.program = overlay::Executable();
     ++slot.generation;
   }
   InvalidateFastPath();

@@ -47,6 +47,7 @@
 #include "src/nic/sram.h"
 #include "src/nic/tenant_table.h"
 #include "src/nic/top_talkers.h"
+#include "src/overlay/executable.h"
 #include "src/overlay/isa.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/resource.h"
@@ -223,11 +224,13 @@ class SmartNic {
     Status SetScheduler(std::unique_ptr<Scheduler> scheduler);
     Scheduler* scheduler() { return nic_->scheduler_.get(); }
 
-    // Overlay management (§4.4). LoadOverlay verifies the program, charges
-    // the MMIO-load reconfiguration time, and returns when the new program
-    // becomes active. ReloadBitstream models a full FPGA reprogram.
+    // Overlay management (§4.4). LoadOverlay verifies and decodes the
+    // program (overlay::Load), charges the MMIO-load reconfiguration time,
+    // and returns when the new program becomes active. OverlaySlot is the
+    // decoded program the pipeline runs, or null for an empty slot.
+    // ReloadBitstream models a full FPGA reprogram.
     StatusOr<Nanos> LoadOverlay(size_t slot, const overlay::Program& program);
-    const overlay::Program* OverlaySlot(size_t slot) const;
+    const overlay::Executable* OverlaySlot(size_t slot) const;
     uint64_t overlay_generation(size_t slot) const;
     Nanos ReloadBitstream();
 
@@ -582,7 +585,7 @@ class SmartNic {
   void RebuildStageSites();
 
   struct SlotState {
-    overlay::Program program;
+    overlay::Executable program;
     uint64_t generation = 0;
   };
   std::array<SlotState, kNumOverlaySlots> overlay_slots_;

@@ -8,6 +8,12 @@
 // it evicts the entry with the fewest bytes (smallest-first, tuple order as
 // the deterministic tie-break) to admit the new flow.
 //
+// Every packet crossing the NIC is recorded, and under flow churn most
+// records of a new flow evict, so both paths are O(log n) at worst: entries
+// live in dense slots found through an open-addressing FiveTuple index, and
+// an indexed binary min-heap keyed (bytes, tuple) keeps the victim at its
+// root. A hit only grows bytes, so it only sifts down.
+//
 // Recording is pure observation — no events, no virtual-time cost — so the
 // packet trajectory is bit-identical whether the table is enabled or not.
 // It is off by default; the kernel enables it through the control plane.
@@ -15,7 +21,6 @@
 #define NORMAN_NIC_TOP_TALKERS_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -54,30 +59,53 @@ class TopTalkers {
   void Record(const net::FiveTuple& tuple, uint32_t owner_pid, uint32_t bytes,
               Nanos now, uint32_t tenant = 0);
 
-  size_t size() const { return table_.size(); }
+  size_t size() const { return slots_.size(); }
   size_t max_entries() const { return max_entries_; }
   uint64_t tracked() const { return tracked_->value(); }
   uint64_t evicted() const { return evicted_->value(); }
   uint64_t untracked() const { return untracked_->value(); }
 
+  // The entry for `tuple`, or null. Valid until the next Record.
   const TopTalkerEntry* Lookup(const net::FiveTuple& tuple) const;
 
   // The n busiest flows, most bytes first; ties break on tuple order, so
   // the ranking is deterministic.
   std::vector<TopTalkerEntry> Top(size_t n) const;
 
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& [tuple, entry] : table_) fn(entry);
-  }
-
  private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  // The bucket `tuple` hashes to, from the top hash bits (FiveTupleHash's
+  // low bits do not depend on the source port).
+  size_t Home(const net::FiveTuple& tuple) const;
+  // The index bucket holding `tuple`, or the empty bucket where it would go.
+  size_t Bucket(const net::FiveTuple& tuple) const;
+  uint32_t Find(const net::FiveTuple& tuple) const;
+  void EraseFromIndex(const net::FiveTuple& tuple);
+  // Heap order: fewer bytes first, then smaller tuple.
+  bool HeapLess(uint32_t a, uint32_t b) const;
+  void HeapSet(size_t pos, uint32_t slot);
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  // Drops the heap root (fewest bytes, smallest tuple) and refunds its SRAM.
+  void EvictMin();
+
   SramAllocator* sram_;
   size_t max_entries_;
-  // Sorted by tuple: deterministic iteration and eviction tie-breaks.
-  std::map<net::FiveTuple, TopTalkerEntry> table_;
-  // Last entry hit: packet trains bypass the tree walk. Cleared on eviction.
-  TopTalkerEntry* hot_ = nullptr;
+  // Entries the table can ever hold: max_entries_, or fewer when NIC SRAM
+  // cannot cover that many. Storage is reserved to it up front.
+  size_t capacity_;
+  // Live entries, dense; a removal moves the last slot into the hole.
+  std::vector<TopTalkerEntry> slots_;
+  // Min-heap of slot ids and each slot's position in it.
+  std::vector<uint32_t> heap_;
+  std::vector<uint32_t> heap_pos_;
+  // Open addressing, linear probing: slot id + 1, 0 = empty. At least
+  // twice capacity_ buckets, a power of two.
+  std::vector<uint32_t> index_;
+  int index_shift_ = 0;
+  // Last slot recorded: packet trains skip the index probe.
+  uint32_t hot_ = kNoSlot;
 
   telemetry::Counter* tracked_;    // flow.tracked
   telemetry::Counter* evicted_;    // flow.evicted

@@ -4,6 +4,10 @@
 // carries cheap runtime guards (it is the reference model the hardware is
 // checked against). Execution reports the instruction count so the NIC model
 // can charge overlay_instr_ns per instruction.
+//
+// This one-instruction-at-a-time stepper is the reference semantics. The
+// dataplane runs programs decoded at install time (executable.h), which
+// tests check against this stepper for verdicts and instruction counts.
 #ifndef NORMAN_OVERLAY_INTERPRETER_H_
 #define NORMAN_OVERLAY_INTERPRETER_H_
 

@@ -4,21 +4,6 @@
 
 namespace norman::overlay {
 
-bool IsJump(Opcode op) {
-  switch (op) {
-    case Opcode::kJmp:
-    case Opcode::kJeq:
-    case Opcode::kJne:
-    case Opcode::kJgt:
-    case Opcode::kJlt:
-    case Opcode::kJge:
-    case Opcode::kJle:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsAlu(Opcode op) {
   switch (op) {
     case Opcode::kAdd:

@@ -88,6 +88,7 @@ enum class Field : uint8_t {
   kOwnerComm,  // interned process-name id assigned by the kernel
   kDirection,  // 0 = TX, 1 = RX
 };
+inline constexpr int kNumFields = static_cast<int>(Field::kDirection) + 1;
 
 struct Instruction {
   Opcode op = Opcode::kNop;
@@ -144,7 +145,21 @@ struct Instruction {
 
 using Program = std::vector<Instruction>;
 
-bool IsJump(Opcode op);
+// Inline: the verifier and the load-time decoder test every instruction.
+inline bool IsJump(Opcode op) {
+  switch (op) {
+    case Opcode::kJmp:
+    case Opcode::kJeq:
+    case Opcode::kJne:
+    case Opcode::kJgt:
+    case Opcode::kJlt:
+    case Opcode::kJge:
+    case Opcode::kJle:
+      return true;
+    default:
+      return false;
+  }
+}
 bool IsAlu(Opcode op);
 std::string_view OpcodeName(Opcode op);
 std::string_view FieldName(Field f);

@@ -12,7 +12,7 @@ Status Err(size_t pc, const std::string& what) {
 }
 
 bool ValidField(int64_t raw) {
-  return raw >= 0 && raw <= static_cast<int64_t>(Field::kDirection);
+  return raw >= 0 && raw < kNumFields;
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // semantics, over thousands of randomized (ruleset, packet) pairs.
 //
 // This is the compiler's correctness argument: CompileFilterChain and the
-// overlay interpreter on one side; a direct, obviously-correct C++ matcher
-// on the other. Any divergence in match semantics (prefix arithmetic, port
-// ranges, owner fields, direction, first-match ordering, default policy)
-// fails here with the full rule and packet dump.
+// decoded overlay engine on one side; a direct, obviously-correct C++
+// matcher on the other. Any divergence in match semantics (prefix
+// arithmetic, port ranges, owner fields, direction, first-match ordering,
+// default policy) fails here with the full rule and packet dump. The
+// instruction count the engine charges must equal the reference stepper's
+// on the same program.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/dataplane/filter_engine.h"
+#include "src/overlay/interpreter.h"
 #include "tests/test_util.h"
 
 namespace norman::dataplane {
@@ -230,7 +233,15 @@ TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
       auto pkt = RandomPacket(rng);
       const FilterAction expected =
           RefEvaluate(rules, engine.default_action(), pkt->ctx);
-      const nic::Verdict got = engine.Process(pkt->packet, pkt->ctx).verdict;
+      const nic::StageResult stage = engine.Process(pkt->packet, pkt->ctx);
+      const nic::Verdict got = stage.verdict;
+      // The engine runs its protocol bucket decoded; the reference stepper
+      // on the same bucket program must charge the same instructions.
+      const auto stepped = overlay::Execute(
+          engine.compiled_for(pkt->parsed.ipv4->protocol), pkt->ctx);
+      ASSERT_TRUE(stepped.ok()) << stepped.status();
+      ASSERT_EQ(stage.overlay_instructions, stepped->instructions_executed)
+          << "world " << world << " trial " << trial;
       nic::Verdict want = nic::Verdict::kAccept;
       switch (expected) {
         case FilterAction::kAccept:

@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/net/parsed_packet.h"
 #include "src/norman/socket.h"
+#include "src/overlay/executable.h"
 #include "src/overlay/interpreter.h"
 #include "src/overlay/verifier.h"
 #include "src/workload/testbed.h"
@@ -92,69 +93,100 @@ TEST(FuzzTest, GarbageThroughNicRxPathIsSafe) {
 
 TEST(FuzzTest, OverlayInterpreterSafeOnRandomVerifiedPrograms) {
   // Random instruction streams that pass the verifier must execute without
-  // error on arbitrary contexts.
+  // error on arbitrary contexts, and the load-time decoded form the
+  // dataplane runs must give the stepper's verdict and instruction count.
   Rng rng(0xabcd);
   const std::vector<uint8_t> frame = SemiValidFrame(rng);
   auto parsed = net::ParseFrame(frame);
   overlay::PacketContext ctx;
   ctx.frame = frame;
   ctx.parsed = parsed ? &*parsed : nullptr;
+  overlay::PacketContext rx_unparsed = ctx;
+  rx_unparsed.parsed = nullptr;
+  rx_unparsed.direction = net::Direction::kRx;
+  rx_unparsed.conn = overlay::ConnMetadata{3, 1000, 42, 7, 5, 1};
 
+  constexpr overlay::Opcode kCompares[] = {
+      overlay::Opcode::kJeq, overlay::Opcode::kJne, overlay::Opcode::kJgt,
+      overlay::Opcode::kJlt, overlay::Opcode::kJge, overlay::Opcode::kJle};
   int verified = 0;
+  int fused = 0;
   for (int trial = 0; trial < 5000; ++trial) {
+    // Every other program uses only two registers, so a load followed by a
+    // shift and compares on the same register (a fused dispatch) is
+    // common.
+    const uint64_t num_regs = trial % 2 == 0 ? 16 : 2;
+    auto reg = [&] { return static_cast<uint8_t>(rng.NextBounded(num_regs)); };
     overlay::Program prog;
     const size_t len = 1 + rng.NextBounded(20);
     for (size_t i = 0; i + 1 < len; ++i) {
+      const auto target = [&] {
+        return static_cast<int64_t>(i + 1 + rng.NextBounded(len - i - 1));
+      };
       overlay::Instruction ins;
-      switch (rng.NextBounded(6)) {
+      switch (rng.NextBounded(9)) {
         case 0:
           ins = overlay::Instruction::Ldi(
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(1000)));
+              reg(), static_cast<int64_t>(rng.NextBounded(1000)));
           break;
         case 1:
-          ins = overlay::Instruction::Ldf(
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<overlay::Field>(rng.NextBounded(20)));
-          break;
         case 2:
-          ins = overlay::Instruction::Ldb(
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(256)));
+          ins = overlay::Instruction::Ldf(
+              reg(), static_cast<overlay::Field>(
+                         rng.NextBounded(overlay::kNumFields)));
           break;
         case 3:
-          ins = overlay::Instruction::AluImm(
-              overlay::Opcode::kAdd,
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(100)));
+          ins = overlay::Instruction::Ldb(
+              reg(), static_cast<int64_t>(rng.NextBounded(256)));
           break;
         case 4:
           ins = overlay::Instruction::AluImm(
-              overlay::Opcode::kShr,
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(64)));
+              overlay::Opcode::kAdd, reg(),
+              static_cast<int64_t>(rng.NextBounded(100)));
+          break;
+        case 5:
+          ins = rng.NextBool(0.75)
+                    ? overlay::Instruction::AluImm(
+                          overlay::Opcode::kShr, reg(),
+                          static_cast<int64_t>(rng.NextBounded(64)))
+                    : overlay::Instruction::AluReg(overlay::Opcode::kShr,
+                                                   reg(), reg());
+          break;
+        case 6:
+          ins = overlay::Instruction::JmpCmpReg(
+              kCompares[rng.NextBounded(6)], reg(), reg(), target());
           break;
         default:
           ins = overlay::Instruction::JmpCmpImm(
-              overlay::Opcode::kJeq,
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(10)),
-              static_cast<int64_t>(i + 1 + rng.NextBounded(len - i - 1)));
+              kCompares[rng.NextBounded(6)], reg(),
+              static_cast<int64_t>(rng.NextBounded(10)), target());
           break;
       }
       prog.push_back(ins);
     }
-    prog.push_back(overlay::Instruction::RetReg(
-        static_cast<uint8_t>(rng.NextBounded(16))));
+    prog.push_back(rng.NextBool(0.5)
+                       ? overlay::Instruction::RetReg(reg())
+                       : overlay::Instruction::RetImm(
+                             static_cast<int64_t>(rng.NextBounded(4))));
     if (!overlay::VerifyProgram(prog).ok()) {
       continue;
     }
     ++verified;
-    auto result = overlay::Execute(prog, ctx);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_LE(result->instructions_executed, prog.size());
+    auto exe = overlay::Load(prog);
+    ASSERT_TRUE(exe.ok()) << exe.status();
+    fused += exe->dispatches() < prog.size() ? 1 : 0;
+    for (const overlay::PacketContext& c : {ctx, rx_unparsed}) {
+      auto result = overlay::Execute(prog, c);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_LE(result->instructions_executed, prog.size());
+      const overlay::ExecResult decoded = overlay::Execute(*exe, c);
+      ASSERT_EQ(decoded.verdict, result->verdict) << "trial " << trial;
+      ASSERT_EQ(decoded.instructions_executed, result->instructions_executed)
+          << "trial " << trial;
+    }
   }
   EXPECT_GT(verified, 1000);  // the generator mostly emits valid programs
+  EXPECT_GT(fused, 400);      // and a tenth of them decode to fused groups
 }
 
 TEST(InvariantTest, TxPacketConservationUnderRandomWorkload) {

@@ -5,8 +5,12 @@
 // queue watermark latching, and norman-top's byte-stable rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/common/health.h"
 #include "src/common/metrics.h"
+#include "src/common/rng.h"
 #include "src/common/timeseries.h"
 #include "src/dataplane/sniffer.h"
 #include "src/net/packet_builder.h"
@@ -344,6 +348,205 @@ TEST(TopTalkersTest, RepeatedPacketsAccumulateThroughHotCache) {
   EXPECT_EQ(e->first_seen, 0);
   EXPECT_EQ(e->last_seen, 349);
   EXPECT_EQ(e->owner_pid, 7u);
+}
+
+// ---- Top talkers against a naive model -----------------------------------
+
+// The table as first specified: a tuple-sorted map and a linear scan for the
+// eviction victim (fewest bytes; the first in tuple order on ties).
+class NaiveTopTalkers {
+ public:
+  NaiveTopTalkers(nic::SramAllocator* sram, size_t max_entries)
+      : sram_(sram), max_entries_(max_entries) {}
+  ~NaiveTopTalkers() {
+    for (const auto& [tuple, e] : table_) {
+      sram_->Free("top_talkers", nic::kTopTalkerEntryBytes, e.tenant);
+    }
+  }
+
+  void Record(const net::FiveTuple& tuple, uint32_t pid, uint32_t bytes,
+              Nanos now, uint32_t tenant) {
+    const auto it = table_.find(tuple);
+    if (it != table_.end()) {
+      ++it->second.packets;
+      it->second.bytes += bytes;
+      it->second.last_seen = now;
+      return;
+    }
+    if (!table_.empty() &&
+        (table_.size() >= max_entries_ ||
+         sram_->available() < nic::kTopTalkerEntryBytes)) {
+      auto victim = table_.begin();
+      for (auto c = table_.begin(); c != table_.end(); ++c) {
+        if (c->second.bytes < victim->second.bytes) victim = c;
+      }
+      sram_->Free("top_talkers", nic::kTopTalkerEntryBytes,
+                  victim->second.tenant);
+      table_.erase(victim);
+      ++evicted;
+    }
+    if (!sram_->Allocate("top_talkers", nic::kTopTalkerEntryBytes, pid,
+                         tenant)
+             .ok()) {
+      ++untracked;
+      return;
+    }
+    table_[tuple] = {tuple, pid, tenant, 1, bytes, now, now};
+    ++tracked;
+  }
+
+  const nic::TopTalkerEntry* Lookup(const net::FiveTuple& tuple) const {
+    const auto it = table_.find(tuple);
+    return it == table_.end() ? nullptr : &it->second;
+  }
+
+  std::vector<nic::TopTalkerEntry> Top() const {
+    std::vector<nic::TopTalkerEntry> out;
+    for (const auto& [tuple, e] : table_) out.push_back(e);
+    std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.bytes > b.bytes;
+    });
+    return out;
+  }
+
+  size_t size() const { return table_.size(); }
+
+  uint64_t tracked = 0;
+  uint64_t evicted = 0;
+  uint64_t untracked = 0;
+
+ private:
+  nic::SramAllocator* sram_;
+  size_t max_entries_;
+  std::map<net::FiveTuple, nic::TopTalkerEntry> table_;
+};
+
+bool SameEntry(const nic::TopTalkerEntry& a, const nic::TopTalkerEntry& b) {
+  return a.tuple == b.tuple && a.owner_pid == b.owner_pid &&
+         a.tenant == b.tenant && a.packets == b.packets &&
+         a.bytes == b.bytes && a.first_seen == b.first_seen &&
+         a.last_seen == b.last_seen;
+}
+
+struct TopTalkersModelCase {
+  uint64_t seed;
+  size_t max_entries;
+  uint64_t sram_entries;   // SRAM capacity, in entries
+  uint64_t quota_entries;  // tenant 2's SRAM quota, in entries (0 = none)
+  double hot_share;        // chance a record goes to the current hot flow
+};
+
+// Drives the same seeded Record stream into TopTalkers and the naive model
+// (each with its own SRAM and registry) and compares every observable
+// after every step, and the SRAM refunds after destruction. Returns how
+// many steps evicted and then refused the new flow anyway.
+int RunTopTalkersModel(const TopTalkersModelCase& c) {
+  Rng rng(c.seed);
+  telemetry::MetricsRegistry reg;
+  nic::SramAllocator sram(c.sram_entries * nic::kTopTalkerEntryBytes);
+  nic::SramAllocator model_sram(c.sram_entries * nic::kTopTalkerEntryBytes);
+  if (c.quota_entries > 0) {
+    sram.SetTenantQuota(2, c.quota_entries * nic::kTopTalkerEntryBytes);
+    model_sram.SetTenantQuota(2, c.quota_entries * nic::kTopTalkerEntryBytes);
+  }
+  // 48 flows over two destinations, so tuple order is not port order.
+  std::vector<net::FiveTuple> flows;
+  for (uint16_t i = 0; i < 48; ++i) {
+    flows.push_back({net::Ipv4Address::FromOctets(10, 0, 0, 1),
+                     net::Ipv4Address::FromOctets(10, 0, 1, i % 2),
+                     static_cast<uint16_t>(7000 - 13 * i), 80,
+                     net::IpProto::kUdp});
+  }
+  // Few distinct sizes (and zero), so byte ties are common.
+  constexpr uint32_t kSizes[] = {0, 1, 64, 64, 100, 1500};
+  int evict_then_refuse = 0;
+  {
+    nic::TopTalkers tt(&sram, &reg, c.max_entries);
+    NaiveTopTalkers model(&model_sram, c.max_entries);
+    // A hot flow that changes now and then, interleaved with random
+    // flows: its trains straddle evictions and refused admissions.
+    size_t hot = 0;
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.NextBool(1.0 / 16)) hot = rng.NextBounded(flows.size());
+      const size_t flow =
+          rng.NextBool(c.hot_share) ? hot : rng.NextBounded(flows.size());
+      const uint32_t bytes = kSizes[rng.NextBounded(6)];
+      const auto pid = static_cast<uint32_t>(100 + flow % 5);
+      const uint32_t tenant = flow % 3 == 0 ? 2 : 1;
+      const uint64_t evicted_before = model.evicted;
+      const uint64_t untracked_before = model.untracked;
+      tt.Record(flows[flow], pid, bytes, step, tenant);
+      model.Record(flows[flow], pid, bytes, step, tenant);
+      if (model.evicted > evicted_before &&
+          model.untracked > untracked_before) {
+        ++evict_then_refuse;
+      }
+
+      const auto top = tt.Top(tt.size());
+      const auto want = model.Top();
+      EXPECT_EQ(tt.size(), model.size()) << "step " << step;
+      EXPECT_EQ(top.size(), want.size()) << "step " << step;
+      for (size_t i = 0; i < std::min(top.size(), want.size()); ++i) {
+        EXPECT_TRUE(SameEntry(top[i], want[i]))
+            << "step " << step << " rank " << i << ": "
+            << top[i].tuple.ToString() << " vs " << want[i].tuple.ToString();
+      }
+      for (const auto& t : flows) {
+        const auto* got = tt.Lookup(t);
+        const auto* exp = model.Lookup(t);
+        EXPECT_EQ(got == nullptr, exp == nullptr)
+            << "step " << step << " " << t.ToString();
+        if (got != nullptr && exp != nullptr) {
+          EXPECT_TRUE(SameEntry(*got, *exp)) << "step " << step;
+        }
+      }
+      EXPECT_EQ(tt.tracked(), model.tracked) << "step " << step;
+      EXPECT_EQ(tt.evicted(), model.evicted) << "step " << step;
+      EXPECT_EQ(tt.untracked(), model.untracked) << "step " << step;
+      EXPECT_EQ(sram.used(), model_sram.used()) << "step " << step;
+      EXPECT_EQ(sram.TenantUsed(1), model_sram.TenantUsed(1));
+      EXPECT_EQ(sram.TenantUsed(2), model_sram.TenantUsed(2));
+      if (::testing::Test::HasFailure()) return evict_then_refuse;
+    }
+    EXPECT_GT(tt.evicted(), 0u);
+  }
+  // Destruction refunds every entry to its tenant.
+  EXPECT_EQ(sram.used(), 0u);
+  EXPECT_EQ(model_sram.used(), 0u);
+  EXPECT_EQ(sram.TenantUsed(1), model_sram.TenantUsed(1));
+  EXPECT_EQ(sram.TenantUsed(2), model_sram.TenantUsed(2));
+  return evict_then_refuse;
+}
+
+TEST(TopTalkersModelTest, TableBound) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunTopTalkersModel({seed, /*max_entries=*/8, /*sram_entries=*/1024,
+                        /*quota_entries=*/0, /*hot_share=*/0.0});
+  }
+}
+
+TEST(TopTalkersModelTest, SramPressure) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunTopTalkersModel({seed, /*max_entries=*/64, /*sram_entries=*/6,
+                        /*quota_entries=*/0, /*hot_share=*/0.0});
+  }
+}
+
+TEST(TopTalkersModelTest, QuotaRefusesAdmissionAfterEviction) {
+  int evict_then_refuse = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    evict_then_refuse +=
+        RunTopTalkersModel({seed, /*max_entries=*/10, /*sram_entries=*/1024,
+                            /*quota_entries=*/2, /*hot_share=*/0.2});
+  }
+  EXPECT_GT(evict_then_refuse, 0) << "the stream never hit the path";
+}
+
+TEST(TopTalkersModelTest, HotFlowTrains) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunTopTalkersModel({seed, /*max_entries=*/12, /*sram_entries=*/10,
+                        /*quota_entries=*/3, /*hot_share=*/0.8});
+  }
 }
 
 // ---- Sniffer capture bound ------------------------------------------------

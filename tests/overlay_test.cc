@@ -3,6 +3,7 @@
 #include "src/net/packet_builder.h"
 #include "src/net/parsed_packet.h"
 #include "src/overlay/assembler.h"
+#include "src/overlay/executable.h"
 #include "src/overlay/interpreter.h"
 #include "src/overlay/verifier.h"
 
@@ -37,11 +38,23 @@ TestPacket MakeUdpPacket(uint16_t src_port, uint16_t dst_port,
   return tp;
 }
 
-int64_t MustRun(const Program& prog, const PacketContext& ctx) {
+// Runs `prog` on the reference stepper and, decoded, on the dataplane's
+// engine; both must agree on the verdict and the instruction count.
+ExecResult MustRunBoth(const Program& prog, const PacketContext& ctx) {
   EXPECT_TRUE(VerifyProgram(prog).ok()) << VerifyProgram(prog);
   auto r = Execute(prog, ctx);
   EXPECT_TRUE(r.ok()) << r.status();
-  return r->verdict;
+  auto exe = Load(prog);
+  EXPECT_TRUE(exe.ok()) << exe.status();
+  if (!r.ok() || !exe.ok()) return {};
+  const ExecResult decoded = Execute(*exe, ctx);
+  EXPECT_EQ(decoded.verdict, r->verdict);
+  EXPECT_EQ(decoded.instructions_executed, r->instructions_executed);
+  return *r;
+}
+
+int64_t MustRun(const Program& prog, const PacketContext& ctx) {
+  return MustRunBoth(prog, ctx).verdict;
 }
 
 TEST(InterpreterTest, RetImmediate) {
@@ -179,6 +192,171 @@ TEST(InterpreterTest, UnverifiedFallOffEndFails) {
   Program p{Instruction::Ldi(1, 1)};
   const auto tp = MakeUdpPacket(1, 2);
   EXPECT_FALSE(Execute(p, tp.ctx).ok());
+}
+
+// --- Load-time decoding ---
+
+size_t Dispatches(const Program& prog) {
+  auto exe = Load(prog);
+  EXPECT_TRUE(exe.ok()) << exe.status();
+  return exe.ok() ? exe->dispatches() : 0;
+}
+
+TEST(DecoderTest, FusedFieldTestChargesEachInstructionItRuns) {
+  // ldf + shr + three compares fuse into one dispatch; each exit charges
+  // exactly what the stepper executes up to its jump, plus the ret.
+  Program p{
+      Instruction::Ldf(1, Field::kDstPort),
+      Instruction::AluImm(Opcode::kShr, 1, 4),
+      Instruction::JmpCmpImm(Opcode::kJeq, 1, 1, 6),   // port 16..31
+      Instruction::JmpCmpImm(Opcode::kJlt, 1, 3, 7),   // port 0..15, 32..47
+      Instruction::JmpCmpImm(Opcode::kJgt, 1, 10, 8),  // port >= 176
+      Instruction::RetImm(0),
+      Instruction::RetImm(1),
+      Instruction::RetImm(2),
+      Instruction::RetImm(3),
+  };
+  EXPECT_EQ(Dispatches(p), 5u);
+  const struct {
+    uint16_t port;
+    int64_t verdict;
+    uint32_t instructions;
+  } cases[] = {{20, 1, 4}, {40, 2, 5}, {500, 3, 6}, {100, 0, 6}};
+  for (const auto& c : cases) {
+    const auto tp = MakeUdpPacket(1, c.port);
+    const ExecResult r = MustRunBoth(p, tp.ctx);
+    EXPECT_EQ(r.verdict, c.verdict) << c.port;
+    EXPECT_EQ(r.instructions_executed, c.instructions) << c.port;
+  }
+}
+
+TEST(DecoderTest, FourthCompareStartsANewDispatch) {
+  Program p{
+      Instruction::Ldf(1, Field::kDstPort),
+      Instruction::JmpCmpImm(Opcode::kJeq, 1, 1, 6),
+      Instruction::JmpCmpImm(Opcode::kJeq, 1, 2, 6),
+      Instruction::JmpCmpImm(Opcode::kJeq, 1, 3, 6),
+      Instruction::JmpCmpImm(Opcode::kJeq, 1, 4, 6),
+      Instruction::RetImm(0),
+      Instruction::RetImm(1),
+  };
+  EXPECT_EQ(Dispatches(p), 4u);
+  for (uint16_t port = 0; port < 6; ++port) {
+    MustRunBoth(p, MakeUdpPacket(1, port).ctx);
+  }
+}
+
+TEST(DecoderTest, JumpIntoAGroupSplitsIt) {
+  // The guard at 1 lands on the 2nd (shr) or 3rd (first compare)
+  // instruction of the would-be group at 2: the group must end before the
+  // target, so both entry paths run the same instructions as the stepper.
+  for (const int64_t entry : {3, 4}) {
+    Program p{
+        Instruction::Ldf(2, Field::kSrcPort),
+        Instruction::JmpCmpImm(Opcode::kJeq, 2, 7, entry),
+        Instruction::Ldf(1, Field::kDstPort),
+        Instruction::AluImm(Opcode::kShr, 1, 1),
+        Instruction::JmpCmpImm(Opcode::kJne, 1, 50, 7),
+        Instruction::JmpCmpImm(Opcode::kJeq, 1, 50, 8),
+        Instruction::RetImm(0),
+        Instruction::RetReg(1),
+        Instruction::RetImm(2),
+    };
+    // [ldf+jeq] [ldf(+shr)] [target...] ... four rets/tails.
+    EXPECT_EQ(Dispatches(p), entry == 3 ? 8u : 7u) << entry;
+    for (const uint16_t sport : {7, 8}) {
+      for (const uint16_t dport : {100, 101, 3}) {
+        MustRunBoth(p, MakeUdpPacket(sport, dport).ctx);
+      }
+    }
+  }
+}
+
+TEST(DecoderTest, CompareOnAnotherRegisterDoesNotFuse) {
+  Program p{
+      Instruction::Ldi(2, 5),
+      Instruction::Ldf(1, Field::kDstPort),
+      Instruction::JmpCmpImm(Opcode::kJeq, 2, 5, 4),  // r2, not r1
+      Instruction::RetImm(0),
+      Instruction::RetReg(1),
+  };
+  EXPECT_EQ(Dispatches(p), 5u);
+  EXPECT_EQ(MustRun(p, MakeUdpPacket(1, 80).ctx), 80);
+}
+
+TEST(DecoderTest, CompareAgainstRegisterDoesNotFuse) {
+  Program p{
+      Instruction::Ldi(2, 80),
+      Instruction::Ldf(1, Field::kDstPort),
+      Instruction::JmpCmpReg(Opcode::kJeq, 1, 2, 4),
+      Instruction::RetImm(0),
+      Instruction::RetImm(1),
+  };
+  EXPECT_EQ(Dispatches(p), 5u);
+  EXPECT_EQ(MustRun(p, MakeUdpPacket(1, 80).ctx), 1);
+  EXPECT_EQ(MustRun(p, MakeUdpPacket(1, 81).ctx), 0);
+}
+
+TEST(DecoderTest, ShiftByRegisterDoesNotFuse) {
+  Program p{
+      Instruction::Ldi(2, 4),
+      Instruction::Ldf(1, Field::kDstPort),
+      Instruction::AluReg(Opcode::kShr, 1, 2),
+      Instruction::JmpCmpImm(Opcode::kJeq, 1, 5, 5),
+      Instruction::RetImm(0),
+      Instruction::RetReg(1),
+  };
+  // ldi, ldf (alone: the shift is by register), shr, jeq, two rets.
+  EXPECT_EQ(Dispatches(p), 6u);
+  EXPECT_EQ(MustRun(p, MakeUdpPacket(1, 80).ctx), 5);
+  EXPECT_EQ(MustRun(p, MakeUdpPacket(1, 96).ctx), 0);
+}
+
+TEST(DecoderTest, RetByRegisterSeesTheShiftedLoad) {
+  Program p{
+      Instruction::Ldf(3, Field::kIpSrc),
+      Instruction::AluImm(Opcode::kShr, 3, 24),
+      Instruction::RetReg(3),
+  };
+  EXPECT_EQ(Dispatches(p), 2u);
+  EXPECT_EQ(MustRun(p, MakeUdpPacket(1, 2).ctx), 10);
+}
+
+TEST(DecoderTest, EveryFieldMatchesTheStepper) {
+  const auto udp = MakeUdpPacket(5432, 3306, /*uid=*/1001, /*pid=*/777);
+  PacketContext unparsed = udp.ctx;
+  unparsed.parsed = nullptr;
+  unparsed.direction = net::Direction::kRx;
+  for (int f = 0; f < kNumFields; ++f) {
+    const auto field = static_cast<Field>(f);
+    for (const PacketContext& ctx : {udp.ctx, unparsed}) {
+      const uint64_t value = ctx.ReadField(field);
+      // The field is loaded twice (the second read comes from the memo)
+      // and tested by a fused compare.
+      Program p{
+          Instruction::Ldf(1, field),
+          Instruction::JmpCmpImm(Opcode::kJne, 1,
+                                 static_cast<int64_t>(value), 4),
+          Instruction::Ldf(2, field),
+          Instruction::RetReg(2),
+          Instruction::RetImm(-1),
+      };
+      EXPECT_EQ(static_cast<uint64_t>(MustRun(p, ctx)), value)
+          << FieldName(field);
+    }
+  }
+}
+
+TEST(DecoderTest, LoadRejectsWhatTheVerifierRejects) {
+  EXPECT_FALSE(Load({}).ok());
+  EXPECT_FALSE(Load({Instruction::Ldi(1, 0)}).ok());  // falls off the end
+  EXPECT_FALSE(Load({Instruction::Ldf(1, static_cast<Field>(kNumFields)),
+                     Instruction::RetImm(0)})
+                   .ok());
+  EXPECT_TRUE(Executable().empty());
+  auto exe = Load({Instruction::RetImm(1)});
+  ASSERT_TRUE(exe.ok());
+  EXPECT_EQ(exe->size(), 1u);
 }
 
 // --- Verifier ---
