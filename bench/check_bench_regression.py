@@ -42,9 +42,12 @@ prints after the google-benchmark table) against the checked-in baseline:
   7. multicore scaling: bench_multicore emits "multicore_scaling" rows in
      1-queue / N-queue pairs (matched by the "pair" field, the 1-queue
      partner running back-to-back in the same process); the 4-queue
-     events-per-virtual-second ratio over its paired 1-queue run must be
-     at least MULTICORE_MIN_SCALING (default 1.8x) — sharding the
+     delivered-frames-per-virtual-second ratio over its paired 1-queue run
+     must be at least MULTICORE_MIN_SCALING (default 1.8x) — sharding the
      dataplane across lanes has to actually buy parallel virtual time.
+     Frames, not events: a busy lane queues frames for drain events that
+     an idle one never dispatches, so events would credit the N-lane run
+     with work the 1-lane run does not do.
      These rows live in a separate report file (bench_multicore's stdout);
      pass it as the report when gating that binary.
 
@@ -205,15 +208,15 @@ def fastpath_rows(rows, fastpath):
 
 
 def multicore_scaling(rows, queues):
-    """events_per_virtual_s ratios of each `queues`-lane run over its
+    """delivered_per_virtual_s ratios of each `queues`-lane run over its
     1-queue pair."""
     by_pair = {}
     for r in rows:
         if (r.get("bench") != "multicore_scaling"
-                or "events_per_virtual_s" not in r):
+                or "delivered_per_virtual_s" not in r):
             continue
         by_pair.setdefault(r.get("pair"), {})[r.get("queues")] = (
-            r["events_per_virtual_s"])
+            r["delivered_per_virtual_s"])
     return [
         p[queues] / p[1]
         for p in by_pair.values()

@@ -116,7 +116,7 @@ void Kernel::InstallPipeline() {
 void Kernel::Housekeeping() {
   // Invoked on demand (no self-rescheduling: it would keep the DES alive
   // forever). Benchmarks and tools call this before reading tables; the
-  // periodic path is StartMaintenance().
+  // periodic path is NicConfig::maintenance.
   if (conntrack_->Sweep(sim_->Now()) > 0) {
     // Expired conntrack state frees SRAM and can change what the chain
     // would decide (e.g. NAT admission): stale fast-path verdicts must go.
@@ -726,18 +726,6 @@ Status Kernel::StopCapture(Uid caller) {
   return OkStatus();
 }
 
-Status Kernel::EnableNat(Uid caller, net::Ipv4Address private_prefix,
-                         uint32_t prefix_len, net::Ipv4Address public_ip) {
-  NORMAN_RETURN_IF_ERROR(RequireRoot(caller));
-  if (nat_ != nullptr) {
-    return AlreadyExistsError("NAT already enabled");
-  }
-  nat_ = std::make_unique<dataplane::NatEngine>(
-      &nic_cp_->sram(), private_prefix, prefix_len, public_ip);
-  InstallPipeline();  // re-compose chains with the NAT stage
-  return OkStatus();
-}
-
 // ---- Declarative configuration & tenancy ------------------------------------
 
 Status Kernel::Configure(Uid caller, const NicConfig& config) {
@@ -750,14 +738,15 @@ Status Kernel::Configure(Uid caller, const NicConfig& config) {
   if (config.top_talkers && config.top_talker_entries == 0) {
     return InvalidArgumentError("config: top_talker_entries must be > 0");
   }
-  if (config.shard_queues > nic::SmartNic::kMaxShardQueues) {
+  if (config.shard_queues == 0 ||
+      config.shard_queues > nic::SmartNic::kMaxShardQueues) {
     return InvalidArgumentError(
-        "config: shard_queues must be <= " +
-        std::to_string(nic::SmartNic::kMaxShardQueues) + ", got " +
+        "config: shard_queues must be in [1, " +
+        std::to_string(nic::SmartNic::kMaxShardQueues) + "], got " +
         std::to_string(config.shard_queues));
   }
   const uint16_t live_queues = nic_cp_->shard_queues();
-  if (live_queues > 0 && config.shard_queues != live_queues) {
+  if (nic_cp_->sharded() && config.shard_queues != live_queues) {
     return FailedPreconditionError(
         "config: sharding is one-shot; the live dataplane has " +
         std::to_string(live_queues) + " lanes and cannot be re-carved to " +
@@ -774,6 +763,14 @@ Status Kernel::Configure(Uid caller, const NicConfig& config) {
         "config: NAT cannot be removed once enabled (live translations "
         "would strand)");
   }
+  if (config.nat && nat_ != nullptr &&
+      (config.nat_private_prefix != active_config_.nat_private_prefix ||
+       config.nat_prefix_len != active_config_.nat_prefix_len ||
+       config.nat_public_ip != active_config_.nat_public_ip)) {
+    return FailedPreconditionError(
+        "config: NAT is already enabled; its translation parameters cannot "
+        "change (live translations would strand)");
+  }
   if (config.tenant_isolation != active_config_.tenant_isolation &&
       nic_cp_->scheduler()->backlog_packets() > 0) {
     return FailedPreconditionError(
@@ -782,7 +779,7 @@ Status Kernel::Configure(Uid caller, const NicConfig& config) {
 
   // ---- Apply. No step below can fail: every precondition the individual
   // operations check was validated above, so the CHECKs are invariants.
-  if (live_queues == 0 && config.shard_queues > 0) {
+  if (config.shard_queues != live_queues) {
     NORMAN_CHECK(nic_cp_->EnableSharding(config.shard_queues).ok());
   }
   if (config.flow_cache) {

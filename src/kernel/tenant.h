@@ -42,9 +42,8 @@ struct TenantSpec {
 
 // Whole-NIC configuration, applied atomically by Kernel::Configure: the
 // entire struct is validated before any field takes effect, so a rejected
-// config leaves the dataplane exactly as it was. This replaces the accreted
-// per-feature toggles (EnableNat / EnableFlowCache / EnableSharding /
-// EnableTopTalkers / StartMaintenance), which survive as deprecated shims.
+// config leaves the dataplane exactly as it was. It is the one way callers
+// outside the kernel configure the NIC.
 struct NicConfig {
   // Megaflow-style verdict cache (fastpath.* metrics).
   bool flow_cache = false;
@@ -52,10 +51,11 @@ struct NicConfig {
   // Per-flow heavy-hitter accounting for norman-top (flow.* metrics).
   bool top_talkers = false;
   size_t top_talker_entries = 64;
-  // Multi-queue dataplane shards (0 or 1 = serial). Sharding is one-shot:
-  // once carved, a live dataplane cannot be re-carved or un-carved.
-  uint16_t shard_queues = 0;
-  // Source NAT for a private prefix.
+  // Dataplane lanes, in [1, SmartNic::kMaxShardQueues]. A NIC is born with
+  // one; more carve it once: a carved dataplane cannot be re-carved.
+  uint16_t shard_queues = 1;
+  // Source NAT for a private prefix. One-shot like sharding: once on, the
+  // translation parameters are fixed.
   bool nat = false;
   uint32_t nat_private_prefix = 0;  // host byte order
   uint32_t nat_prefix_len = 0;

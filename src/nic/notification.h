@@ -29,7 +29,8 @@ struct Notification {
   NotificationKind kind = NotificationKind::kRxData;
   net::ConnectionId conn_id = net::kUnknownConnection;
   Nanos timestamp = 0;
-  // RX queue (sharded lane) the completion happened on; 0 when unsharded.
+  // RX queue an RX completion was delivered on, or the lane a TX drain ran
+  // on.
   // The kernel's notification pump keys its per-queue drain counters
   // (kernel.notify.q<N>.drained) on this.
   uint16_t queue = 0;

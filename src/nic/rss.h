@@ -99,11 +99,15 @@ class RssEngine {
   }
 
   uint16_t Steer(const net::FiveTuple& t) const {
-    const uint16_t q = table_[Hash(t) % kIndirectionEntries];
+    return table_[Hash(t) % kIndirectionEntries];
+  }
+
+  // Counts one frame delivered on queue `q` by a Steer decision (the NIC
+  // counts at delivery, so refused or diverted frames do not count).
+  void CountSteered(uint16_t q) const {
     if (q < kCountedQueues && steered_[q] != nullptr) {
       telemetry::HotIncrement(steered_[q]);
     }
-    return q;
   }
 
  private:

@@ -171,18 +171,22 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
       prof_(&sim->profiler()),
       stats_(&sim->metrics()) {
   sram_.AttachGauges(&sram_gauges_);
-  // Attribution cores: the profiler reads each resource's busy time at
-  // export, and the conservation invariant holds per core. Registration is
-  // unconditional (like metric registration) so inventories never depend
-  // on whether a run enabled profiling.
+  // The born lane. Attribution cores: the profiler reads each resource's
+  // busy time at export, and the conservation invariant holds per core.
+  // Registration is unconditional (like metric registration) so
+  // inventories never depend on whether a run enabled profiling.
+  auto born = std::make_unique<Lane>(0, "", telemetry::Tracepoints::kCoreNic,
+                                     options_.lane_ring_entries);
+  Lane* raw = born.get();
   using telemetry::Profiler;
-  prof_core_dma_ = prof_->RegisterCore(
-      "nic.dma", Profiler::CoreKind::kNic, [this] { return dma_engine_.busy_ns(); });
-  prof_core_pipe_ = prof_->RegisterCore(
-      "nic.pipeline", Profiler::CoreKind::kNic,
-      [this] { return pipeline_.busy_ns(); });
-  prof_core_stages_ = prof_->RegisterCore(
-      "nic.stages", Profiler::CoreKind::kNic, [this] { return stages_.busy_ns(); });
+  raw->core_dma = prof_->RegisterCore("nic.dma", Profiler::CoreKind::kNic,
+                                      [raw] { return raw->dma.busy_ns(); });
+  raw->core_pipe =
+      prof_->RegisterCore("nic.pipeline", Profiler::CoreKind::kNic,
+                          [raw] { return raw->pipeline.busy_ns(); });
+  raw->core_stages =
+      prof_->RegisterCore("nic.stages", Profiler::CoreKind::kNic,
+                          [raw] { return raw->stages.busy_ns(); });
   prof_core_wire_ = prof_->RegisterCore(
       "nic.wire", Profiler::CoreKind::kNic, [this] { return wire_.busy_ns(); });
   stats_.AttachProfiler(prof_);
@@ -209,16 +213,8 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
     lane_rx_gauges_.emplace_back(&sim->metrics(),
                                  "nic.rx_ring.q" + std::to_string(q));
   }
-  // The unsharded resource/core set the shared datapath charges by default.
-  default_refs_ = LaneRefs{&pipeline_,
-                           &stages_,
-                           &dma_engine_,
-                           prof_core_pipe_,
-                           prof_core_stages_,
-                           prof_core_dma_,
-                           telemetry::Tracepoints::kCoreNic,
-                           sim::Simulator::kNoLane,
-                           /*cache_part=*/0};
+  born->rings.AttachGauges(&lane_tx_gauges_[0], &lane_rx_gauges_[0]);
+  lanes_.push_back(std::move(born));
   // NIC-side fault instrumentation, eagerly registered so the metric
   // manifest is shape-stable whether or not a chaos campaign ever runs.
   fault_sram_pressure_gauge_ = sim->metrics().GetGauge(
@@ -443,7 +439,7 @@ Status SmartNic::EnableShardingImpl(uint16_t num_queues) {
         std::to_string(kMaxShardQueues) + "], got " +
         std::to_string(num_queues));
   }
-  if (!lanes_.empty()) {
+  if (born_lane_ != nullptr) {
     return FailedPreconditionError(
         "dataplane already sharded; re-sharding a live dataplane would "
         "orphan in-flight lane state");
@@ -451,10 +447,13 @@ Status SmartNic::EnableShardingImpl(uint16_t num_queues) {
   rss_.SetNumQueues(num_queues);
   flow_cache_.SetPartitions(num_queues);
   sim_->set_num_lanes(num_queues);
+  born_lane_ = std::move(lanes_[0]);
+  lanes_.clear();
   using telemetry::Profiler;
-  lanes_.reserve(num_queues);
   for (uint16_t q = 0; q < num_queues; ++q) {
-    auto lane = std::make_unique<Lane>(q, options_.lane_ring_entries);
+    auto lane = std::make_unique<Lane>(
+        q, ".q" + std::to_string(q), telemetry::Tracepoints::kCoreLaneBase + q,
+        options_.lane_ring_entries);
     lane->rings.AttachGauges(&lane_tx_gauges_[q], &lane_rx_gauges_[q]);
     Lane* raw = lane.get();
     lane->core_pipe =
@@ -475,24 +474,17 @@ Status SmartNic::EnableShardingImpl(uint16_t num_queues) {
   return OkStatus();
 }
 
-SmartNic::LaneRefs SmartNic::LaneRefsFor(uint16_t queue) {
-  Lane& lane = *lanes_[queue];
-  return LaneRefs{&lane.pipeline,
-                  &lane.stages,
-                  &lane.dma,
-                  lane.core_pipe,
-                  lane.core_stages,
-                  lane.core_dma,
-                  telemetry::Tracepoints::kCoreLaneBase + queue,
-                  queue,
-                  queue};
-}
-
 uint16_t SmartNic::TxLaneOf(const FlowEntry* entry) const {
-  if (lanes_.empty() || entry == nullptr) {
+  if (entry == nullptr || lanes_.size() == 1) {
     return 0;
   }
   return static_cast<uint16_t>(rss_.Hash(entry->tuple) % lanes_.size());
+}
+
+bool SmartNic::ServesOnArrival(bool ring_empty, bool drain_scheduled,
+                               Nanos now) const {
+  return ring_empty && !drain_scheduled &&
+         (lanes_.size() == 1 || !sim_->HasEventAtOrBefore(now));
 }
 
 NotificationQueue* SmartNic::ControlPlane::GetNotificationQueue(
@@ -561,7 +553,7 @@ bool IsDestinationRewrite(const net::FiveTuple& from,
 
 }  // namespace
 
-StageResult SmartNic::RunStages(const LaneRefs& lr,
+StageResult SmartNic::RunStages(Lane& lane,
                                 const std::vector<PipelineStage*>& stages,
                                 net::Packet& packet,
                                 overlay::PacketContext& ctx,
@@ -637,8 +629,8 @@ StageResult SmartNic::RunStages(const LaneRefs& lr,
         options_.cost.nic_stage_latency_ns +
         static_cast<Nanos>(r.overlay_instructions) *
             options_.cost.overlay_instr_ns;
-    lr.stages->AddBusy(stage_cost);
-    prof_->Charge(stage_sites[i], lr.core_stages, owner_slot, stage_cost);
+    lane.stages.AddBusy(stage_cost);
+    prof_->Charge(stage_sites[i], lane.core_stages, owner_slot, stage_cost);
     if (trace_id != 0) {
       // Spans are laid end to end from `stage_start` so the chain tiles
       // exactly onto the cost model's stage window.
@@ -690,11 +682,11 @@ Status SmartNic::Doorbell(net::ConnectionId conn_id, Nanos now) {
   bool& active = tx_consumer_active_[conn_id];
   if (!active) {
     active = true;
-    // When sharded, the consumer event carries the flow's TX lane so the
-    // interleave schedule orders same-tick wake-ups across lanes.
+    // The consumer event carries the flow's TX lane so the interleave
+    // schedule orders same-tick wake-ups across lanes. With one lane every
+    // event ranks alike, so the flow lookup is skipped.
     const uint16_t lane =
-        lanes_.empty() ? sim::Simulator::kNoLane
-                       : TxLaneOf(flow_table_.Lookup(conn_id));
+        lanes_.size() == 1 ? 0 : TxLaneOf(flow_table_.Lookup(conn_id));
     sim_->ScheduleAtLane(lane, std::max(now, sim_->Now()),
                          [this, conn_id] { ConsumeTxRing(conn_id); });
   }
@@ -723,8 +715,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   FlowEntry* entry = flow_table_.Lookup(conn_id);
   // A burst serves one connection, so its lane — and therefore the
   // resource set every descriptor charges — is fixed for the whole pass.
-  const LaneRefs refs =
-      lanes_.empty() ? default_refs_ : LaneRefsFor(TxLaneOf(entry));
+  Lane& lane = *lanes_[TxLaneOf(entry)];
   TxBurst burst(&stats_);
   FastPathMemo memo;
   for (uint32_t fetched = 0;;) {
@@ -735,8 +726,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
       tx_consumer_active_[conn_id] = false;
       if (entry != nullptr && entry->notify_tx_drain) {
         PostNotification(*entry, NotificationKind::kTxDrained, now,
-                         refs.lane == sim::Simulator::kNoLane ? 0
-                                                              : refs.lane);
+                         lane.index);
       }
       return;
     }
@@ -746,11 +736,11 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
       PrefetchRead(next_pkt->get());
     }
     ProcessTxDescriptor(std::move(*pkt), conn_id, entry, now, burst, &memo,
-                        refs);
+                        lane);
     // Next descriptor fetch when the lane's DMA engine frees up.
-    const Nanos next = std::max(refs.dma->next_free(), now + 1);
+    const Nanos next = std::max(lane.dma.next_free(), now + 1);
     if (++fetched >= batch || sim_->HasEventAtOrBefore(next)) {
-      sim_->ScheduleAtLane(refs.lane, next,
+      sim_->ScheduleAtLane(lane.index, next,
                            [this, conn_id] { ConsumeTxRing(conn_id); });
       return;
     }
@@ -761,7 +751,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
 void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                                    net::ConnectionId conn_id, FlowEntry* entry,
                                    Nanos now, TxBurst& burst,
-                                   FastPathMemo* memo, const LaneRefs& lr) {
+                                   FastPathMemo* memo, Lane& lane) {
   burst.seen.Add();
   // Debug builds check net::Packet's memo invariant at every NIC entry.
   assert(packet->MemosExact() && "packet memo does not match its bytes");
@@ -792,8 +782,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       entry != nullptr ? entry->tx_ring_bytes : kHotWorkingSetBytes;
   const bool ddio_hit = ddio_.Access(TxRingId(conn_id), ring_ws);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
-  const Nanos dma_done = lr.dma->Serve(now, dma_cost);
-  prof_->Charge(prof_tx_dma_site_, lr.core_dma, owner_slot, dma_cost);
+  const Nanos dma_done = lane.dma.Serve(now, dma_cost);
+  prof_->Charge(prof_tx_dma_site_, lane.core_dma, owner_slot, dma_cost);
   burst.dma.Add();
   sim_->tracer().Record(trace_id, "tx.dma", now, dma_done);
 
@@ -806,14 +796,14 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
   Nanos pipe_done;
   if (tenant_table_.Gated(tenant)) {
-    const Nanos start = tenant_table_.Admit(tenant, lr.lane, dma_done,
+    const Nanos start = tenant_table_.Admit(tenant, lane.index, dma_done,
                                             pipe_cost);
-    lr.pipeline->AddBusy(pipe_cost);
+    lane.pipeline.AddBusy(pipe_cost);
     pipe_done = start + pipe_cost;
   } else {
-    pipe_done = lr.pipeline->Serve(dma_done, pipe_cost);
+    pipe_done = lane.pipeline.Serve(dma_done, pipe_cost);
   }
-  prof_->Charge(prof_tx_pipe_site_, lr.core_pipe, owner_slot, pipe_cost);
+  prof_->Charge(prof_tx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
   sim_->tracer().Record(trace_id, "tx.pipeline", dma_done, pipe_done);
 
   // The packet's parse memo — installed by SendFrame's checksum offload or
@@ -858,7 +848,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       e = memo->entry;
       flow_cache_.CountCoalescedHit();
     } else {
-      e = flow_cache_.Lookup(fp_key, lr.cache_part);
+      e = flow_cache_.Lookup(fp_key, lane.index);
       if (memo != nullptr) {
         memo->entry = e;  // null on miss: the memo never outlives a miss
         if (e != nullptr) {
@@ -874,8 +864,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
                             static_cast<Nanos>(observer_instructions) *
                                 options_.cost.overlay_instr_ns;
-      lr.stages->AddBusy(fp_cost);
-      prof_->ChargeCurrent(lr.core_stages, owner_slot, fp_cost);
+      lane.stages.AddBusy(fp_cost);
+      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
       stages_done = pipe_done + fp_cost;
       sim_->tracer().Record(trace_id, "fastpath", pipe_done, stages_done);
       verdict = static_cast<Verdict>(e->verdict);
@@ -886,7 +876,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   if (!fp_hit) {
     telemetry::ProfScope stages_scope(prof_, prof_tx_stages_site_);
     FlowCacheMint mint;
-    StageResult result = RunStages(lr, tx_stages_, *packet, ctx, pipe_done,
+    StageResult result = RunStages(lane, tx_stages_, *packet, ctx, pipe_done,
                                    trace_id, fp_eligible ? &mint : nullptr,
                                    tx_stage_sites_, owner_slot);
     // A packet already diverted once (software path) is not diverted again
@@ -910,7 +900,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
         mint.entry.verdict = static_cast<uint8_t>(verdict);
         mint.entry.drop_reason = drop_reason;
         mint.entry.tenant = ctx.conn.owner_tenant;
-        flow_cache_.Insert(fp_key, mint.entry, lr.cache_part);
+        flow_cache_.Insert(fp_key, mint.entry, lane.index);
       } else {
         flow_cache_.RecordUncacheable();
       }
@@ -925,7 +915,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   switch (verdict) {
     case Verdict::kDrop:
       stats_.RecordDrop(net::Direction::kTx, NormalizeDropReason(drop_reason),
-                        ctx.conn.owner_pid, lr.tp_core,
+                        ctx.conn.owner_pid, lane.tp_core,
                         ctx.conn.owner_tenant);
       return;
     case Verdict::kSoftwareFallback: {
@@ -948,9 +938,9 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   // handoffs across lanes follow the interleave schedule.
   const overlay::ConnMetadata conn_meta = ctx.conn;
   sim_->ScheduleAtLane(
-      lr.lane, stages_done,
+      lane.index, stages_done,
       [this, p = std::move(packet), conn_meta,
-       tp_core = lr.tp_core]() mutable {
+       tp_core = lane.tp_core]() mutable {
     // Rebuild a minimal context for the scheduler (classification inputs).
     // The packet's parse memo is exact — a rewriting stage patched it in
     // place — so classifying disciplines read it directly.
@@ -975,36 +965,37 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
 void SmartNic::InjectHostPacket(net::PacketPtr packet, Nanos now) {
   // Same path as a descriptor fetch; the source "ring" is host kernel
   // memory, which is never DDIO-resident (conn id from metadata, if any).
+  // The frame runs on its flow's TX lane, so host-injected traffic charges
+  // the same per-core resources as doorbell traffic on that lane.
   if (packet == nullptr) {
     return;
   }
   const net::ConnectionId conn = packet->meta().connection;
-  if (!lanes_.empty()) {
-    // Sharded: stage the frame in its lane's TX ring and let the lane's
-    // batched drain run it, so host-injected traffic charges the same
-    // per-core resources as doorbell traffic on that lane.
-    const uint16_t q = TxLaneOf(flow_table_.Lookup(conn));
-    const uint32_t owner_pid = packet->meta().owner_pid;
-    const uint32_t owner_tenant = packet->meta().tenant;
-    Lane& lane = *lanes_[q];
-    if (!lane.rings.PushTx(std::move(packet))) {
-      stats_.RecordDrop(net::Direction::kTx, DropReason::kRingFull, owner_pid,
-                        telemetry::Tracepoints::kCoreLaneBase + q,
-                        owner_tenant);
-      return;
-    }
-    if (!lane.tx_drain_scheduled) {
-      lane.tx_drain_scheduled = true;
-      sim_->ScheduleAtLane(q, std::max(now, sim_->Now()),
-                           [this, q] { DrainTxLane(q); });
-    }
+  FlowEntry* entry = flow_table_.Lookup(conn);
+  const uint16_t q = TxLaneOf(entry);
+  Lane& lane = *lanes_[q];
+  if (ServesOnArrival(lane.rings.tx().empty(), lane.tx_drain_scheduled,
+                      now)) {
+    // A single-packet burst: the accumulators flush on return. No memo —
+    // host-injected packets have no burst neighbor to share a flow with.
+    TxBurst burst(&stats_);
+    ProcessTxDescriptor(std::move(packet), conn, entry, now, burst, nullptr,
+                        lane);
     return;
   }
-  // A single-packet burst: the accumulators flush on return. No memo —
-  // host-injected packets have no burst neighbor to share a flow with.
-  TxBurst burst(&stats_);
-  ProcessTxDescriptor(std::move(packet), conn, flow_table_.Lookup(conn), now,
-                      burst, nullptr, default_refs_);
+  // The lane is busy: stage the frame behind the waiting ones.
+  const uint32_t owner_pid = packet->meta().owner_pid;
+  const uint32_t owner_tenant = packet->meta().tenant;
+  if (!lane.rings.PushTx(std::move(packet))) {
+    stats_.RecordDrop(net::Direction::kTx, DropReason::kRingFull, owner_pid,
+                      lane.tp_core, owner_tenant);
+    return;
+  }
+  if (!lane.tx_drain_scheduled) {
+    lane.tx_drain_scheduled = true;
+    sim_->ScheduleAtLane(q, std::max(now, sim_->Now()),
+                         [this, q] { DrainTxLane(q); });
+  }
 }
 
 void SmartNic::DrainTxLane(uint16_t queue) {
@@ -1012,7 +1003,6 @@ void SmartNic::DrainTxLane(uint16_t queue) {
   lane.tx_drain_scheduled = false;
   const Nanos now = sim_->Now();
   const uint32_t n = lane.rings.PopTxN(std::span<net::PacketPtr>(lane.burst));
-  const LaneRefs refs = LaneRefsFor(queue);
   TxBurst burst(&stats_);
   for (uint32_t i = 0; i < n; ++i) {
     net::PacketPtr pkt = std::move(lane.burst[i]);
@@ -1020,7 +1010,7 @@ void SmartNic::DrainTxLane(uint16_t queue) {
     // Per-frame flow lookup (unlike the doorbell consumer's hoist): staged
     // frames on one lane can belong to different connections.
     ProcessTxDescriptor(std::move(pkt), conn, flow_table_.Lookup(conn), now,
-                        burst, nullptr, refs);
+                        burst, nullptr, lane);
   }
   if (!lane.rings.tx().empty() && !lane.tx_drain_scheduled) {
     lane.tx_drain_scheduled = true;
@@ -1153,41 +1143,40 @@ void SmartNic::DeliverFromWire(net::PacketPtr packet, Nanos now) {
   // lane ingress ring refuses still count as seen.
   telemetry::HotIncrement(stats_.rx_seen_);
   assert(packet->MemosExact() && "packet memo does not match its bytes");
-  if (lanes_.empty()) {
-    ProcessRxFrame(default_refs_, std::move(packet), now);
-    return;
-  }
-  // Sharded wire ingress: the MAC steers on the frame's headers exactly as
-  // received (its parse memo) into a lane's ingress ring — unlike the serial
-  // path, which picks a queue only after the stage chain may have rewritten
-  // them (see DESIGN.md "Multi-queue sharding").
+  // MAC ingress: one flow-table lookup steers the frame on its headers
+  // exactly as received (its parse memo) and names its owner. The RX queue
+  // is the flow's explicit override or its RSS queue, mod the RSS queue
+  // count; the lane is that queue mod the lane count.
+  FlowEntry* entry = nullptr;
   uint16_t queue = 0;
-  uint32_t owner_pid = 0;
-  uint32_t owner_tenant = 0;
   if (packet->parsed() != nullptr) {
-    if (auto flow = packet->parsed()->flow()) {
-      if (const FlowEntry* e = flow_table_.LookupByInboundTuple(*flow)) {
-        owner_pid = e->owner.owner_pid;
-        owner_tenant = e->owner.owner_tenant;
-        queue = e->rx_queue != 0 ? e->rx_queue : rss_.Steer(*flow);
-      } else {
-        queue = rss_.Steer(*flow);
-      }
-      // Explicit per-flow overrides may name a queue beyond the lane count.
-      queue = static_cast<uint16_t>(queue % lanes_.size());
+    if (const auto flow = packet->parsed()->flow()) {
+      entry = flow_table_.LookupByInboundTuple(*flow);
+      queue = entry != nullptr && entry->rx_queue != 0
+                  ? entry->rx_queue % rss_.num_queues()
+                  : rss_.Steer(*flow);
     }
   }
   packet->meta().rx_queue = queue;
-  Lane& lane = *lanes_[queue];
+  const auto q = static_cast<uint16_t>(queue % lanes_.size());
+  Lane& lane = *lanes_[q];
+  if (ServesOnArrival(lane.rings.rx().empty(), lane.rx_drain_scheduled,
+                      now)) {
+    ProcessRxFrame(lane, std::move(packet), entry, now);
+    return;
+  }
+  // The lane is busy: the frame queues behind the waiting ones.
+  const uint32_t owner_pid = entry != nullptr ? entry->owner.owner_pid : 0;
+  const uint32_t owner_tenant =
+      entry != nullptr ? entry->owner.owner_tenant : 0;
   if (!lane.rings.PushRx(std::move(packet))) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull, owner_pid,
-                      telemetry::Tracepoints::kCoreLaneBase + queue,
-                      owner_tenant);
+                      lane.tp_core, owner_tenant);
     return;
   }
   if (!lane.rx_drain_scheduled) {
     lane.rx_drain_scheduled = true;
-    sim_->ScheduleAtLane(queue, now, [this, queue] { DrainRxLane(queue); });
+    sim_->ScheduleAtLane(q, now, [this, q] { DrainRxLane(q); });
   }
 }
 
@@ -1197,9 +1186,15 @@ void SmartNic::DrainRxLane(uint16_t queue) {
   const Nanos now = sim_->Now();
   const uint32_t n =
       lane.rings.PopRxN(std::span<net::PacketPtr>(lane.burst));
-  const LaneRefs refs = LaneRefsFor(queue);
   for (uint32_t i = 0; i < n; ++i) {
-    ProcessRxFrame(refs, std::move(lane.burst[i]), now);
+    // Re-match: the flow table may have changed while the frame waited.
+    FlowEntry* entry = nullptr;
+    if (const net::ParsedPacket* parsed = lane.burst[i]->parsed()) {
+      if (const auto flow = parsed->flow()) {
+        entry = flow_table_.LookupByInboundTuple(*flow);
+      }
+    }
+    ProcessRxFrame(lane, std::move(lane.burst[i]), entry, now);
   }
   if (!lane.rings.rx().empty() && !lane.rx_drain_scheduled) {
     lane.rx_drain_scheduled = true;
@@ -1207,13 +1202,12 @@ void SmartNic::DrainRxLane(uint16_t queue) {
   }
 }
 
-void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
-                              Nanos now) {
-  // RX frames are processed one event each (the serial path delivers them
-  // straight off the wire; lane drains run a burst inside one event), so
-  // there is no burst scope to accumulate into; the volume counters go
-  // through the hot tier instead. Drop accounting below stays exact at
-  // every stats level.
+void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
+                              FlowEntry* entry, Nanos now) {
+  // RX frames are processed one at a time (served on arrival, or inside a
+  // lane drain's burst), so there is no burst scope to accumulate into;
+  // the volume counters go through the hot tier instead. Drop accounting
+  // below stays exact at every stats level.
   telemetry::ProfScope rx_scope(prof_, prof_rx_site_);
   packet->meta().direction = net::Direction::kRx;
   packet->meta().nic_arrival = now;
@@ -1222,17 +1216,12 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
 
   // Headers come from the packet's parse memo (see ProcessTxDescriptor):
   // the sender's builder or checksum offload filled it and NAT patched it,
-  // so a clean frame is not re-parsed here. Flow match happens before the
-  // pipeline serve — it is pure (no virtual time, no counters), and the
-  // match result names the owning tenant whose cycle share gates the
-  // pipeline below.
+  // so a clean frame is not re-parsed here. The flow match was made at
+  // ingress — it is pure (no virtual time, no counters), and it names the
+  // owning tenant whose cycle share gates the pipeline below.
   std::optional<net::FiveTuple> flow;
   if (packet->parsed() != nullptr) {
     flow = packet->parsed()->flow();
-  }
-  FlowEntry* entry = nullptr;
-  if (flow) {
-    entry = flow_table_.LookupByInboundTuple(*flow);
   }
   const uint32_t tenant = entry != nullptr ? entry->owner.owner_tenant : 0;
 
@@ -1242,11 +1231,12 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
   Nanos pipe_done;
   if (tenant_table_.Gated(tenant)) {
-    const Nanos start = tenant_table_.Admit(tenant, lr.lane, now, pipe_cost);
-    lr.pipeline->AddBusy(pipe_cost);
+    const Nanos start =
+        tenant_table_.Admit(tenant, lane.index, now, pipe_cost);
+    lane.pipeline.AddBusy(pipe_cost);
     pipe_done = start + pipe_cost;
   } else {
-    pipe_done = lr.pipeline->Serve(now, pipe_cost);
+    pipe_done = lane.pipeline.Serve(now, pipe_cost);
   }
   sim_->tracer().Record(trace_id, "rx.pipeline", now, pipe_done);
 
@@ -1261,7 +1251,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
     owner_slot = prof_->OwnerSlot(owner_pid);
     prof_->CountPacket(owner_slot, packet->size());
   }
-  prof_->Charge(prof_rx_pipe_site_, lr.core_pipe, owner_slot, pipe_cost);
+  prof_->Charge(prof_rx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
 
   // Graceful degradation under wire faults: frames whose IPv4 or L4
   // checksum no longer verifies were damaged in flight and are dropped here,
@@ -1272,8 +1262,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   // mutable_bytes(), which cleared the bit.
   if (options_.verify_rx_checksums && !packet->VerifyChecksums()) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt,
-                      entry != nullptr ? entry->owner.owner_pid : 0,
-                      lr.tp_core, tenant);
+                      owner_pid, lane.tp_core, tenant);
     return;
   }
 
@@ -1298,7 +1287,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   bool fp_hit = false;
   if (fp_eligible) {
     fp_key = FlowCacheKey{net::Direction::kRx, *flow, entry->conn_id};
-    if (const FlowCacheEntry* e = flow_cache_.Lookup(fp_key, lr.cache_part)) {
+    if (const FlowCacheEntry* e = flow_cache_.Lookup(fp_key, lane.index)) {
       telemetry::ProfScope fp_scope(prof_, prof_rx_fastpath_site_);
       const uint32_t observer_instructions =
           ReplayFastPath(*e, rx_stages_, *packet, ctx);
@@ -1307,8 +1296,8 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
       const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
                             static_cast<Nanos>(observer_instructions) *
                                 options_.cost.overlay_instr_ns;
-      lr.stages->AddBusy(fp_cost);
-      prof_->ChargeCurrent(lr.core_stages, owner_slot, fp_cost);
+      lane.stages.AddBusy(fp_cost);
+      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
       ready = pipe_done + fp_cost;
       sim_->tracer().Record(trace_id, "fastpath", pipe_done, ready);
       verdict = static_cast<Verdict>(e->verdict);
@@ -1319,7 +1308,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   if (!fp_hit) {
     telemetry::ProfScope stages_scope(prof_, prof_rx_stages_site_);
     FlowCacheMint mint;
-    StageResult result = RunStages(lr, rx_stages_, *packet, ctx, pipe_done,
+    StageResult result = RunStages(lane, rx_stages_, *packet, ctx, pipe_done,
                                    trace_id, fp_eligible ? &mint : nullptr,
                                    rx_stage_sites_, owner_slot);
     telemetry::HotIncrement(stats_.overlay_instructions_,
@@ -1336,7 +1325,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
         mint.entry.verdict = static_cast<uint8_t>(verdict);
         mint.entry.drop_reason = drop_reason;
         mint.entry.tenant = ctx.conn.owner_tenant;
-        flow_cache_.Insert(fp_key, mint.entry, lr.cache_part);
+        flow_cache_.Insert(fp_key, mint.entry, lane.index);
       } else {
         flow_cache_.RecordUncacheable();
       }
@@ -1345,7 +1334,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
 
   if (verdict == Verdict::kDrop) {
     stats_.RecordDrop(net::Direction::kRx, NormalizeDropReason(drop_reason),
-                      ctx.conn.owner_pid, lr.tp_core, ctx.conn.owner_tenant);
+                      ctx.conn.owner_pid, lane.tp_core, ctx.conn.owner_tenant);
     return;
   }
 
@@ -1365,26 +1354,14 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
     return;
   }
 
-  // Steer. Sharded: the lane was chosen at wire ingress (pre-rewrite
-  // headers) and IS the queue. Serial: explicit flow-table queue wins,
-  // otherwise RSS over the parse memo — post-rewrite here, so steering
-  // keys on the headers actually delivered to the host (a NAT'd frame
-  // hashes as rewritten).
-  uint16_t queue;
-  if (lr.lane != sim::Simulator::kNoLane) {
-    queue = lr.lane;
-  } else {
-    queue = entry->rx_queue;
-    if (packet->parsed() != nullptr) {
-      if (auto q_flow = packet->parsed()->flow(); q_flow && queue == 0) {
-        queue = rss_.Steer(*q_flow);
-      }
-    }
-  }
+  // The RX queue was chosen at MAC ingress, on the headers as received.
   // Steering is combinational (zero cost-model time); the zero-width span
   // still marks the RSS decision point on a traced packet's track.
+  const uint16_t queue = packet->meta().rx_queue;
+  if (entry->rx_queue == 0) {
+    rss_.CountSteered(queue);
+  }
   sim_->tracer().Record(trace_id, "rx.rss", ready, ready);
-  packet->meta().rx_queue = queue;
   packet->meta().connection = entry->conn_id;
   ++entry->rx_packets;
   entry->rx_bytes += packet->size();
@@ -1395,16 +1372,16 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
                                          ? entry->rx_ring_bytes
                                          : kHotWorkingSetBytes);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
-  const Nanos dma_done = lr.dma->Serve(ready, dma_cost);
-  prof_->Charge(prof_rx_dma_site_, lr.core_dma, owner_slot, dma_cost);
+  const Nanos dma_done = lane.dma.Serve(ready, dma_cost);
+  prof_->Charge(prof_rx_dma_site_, lane.core_dma, owner_slot, dma_cost);
   telemetry::HotIncrement(stats_.dma_transfers_);
   sim_->tracer().Record(trace_id, "rx.dma", ready, dma_done);
 
   const net::ConnectionId conn_id = entry->conn_id;
   sim_->ScheduleAtLane(
-      lr.lane, dma_done,
+      lane.index, dma_done,
       [this, p = std::move(packet), conn_id, queue,
-       tp_core = lr.tp_core]() mutable {
+       tp_core = lane.tp_core]() mutable {
     const auto it = rings_.find(conn_id);
     FlowEntry* e = flow_table_.Lookup(conn_id);
     if (it == rings_.end() || e == nullptr) {

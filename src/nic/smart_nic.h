@@ -5,8 +5,9 @@
 // flow through the installed pipeline stages (filter, sniffer, NAT — see
 // src/dataplane) at the pipeline's line rate, are ordered by the installed
 // queueing discipline, and serialized onto the wire. RX reverses the path:
-// wire -> pipeline -> flow-table match -> RSS -> DMA into the connection's
-// RX ring -> notification.
+// wire -> flow-table match + RSS steering to a lane -> pipeline -> DMA into
+// the connection's RX ring -> notification. Every packet runs on one lane
+// (DESIGN.md §5b): a NIC is born with one and may be carved into more.
 //
 // Privilege separation follows the paper: the *kernel* obtains the single
 // ControlPlane capability (TakeControlPlane) and is the only agent that can
@@ -120,8 +121,8 @@ class NicStats {
   // The single accounting point: bumps the per-reason counter and the
   // owner ledger. `reason` must not be kNone. When a profiler is attached
   // the drop also lands in the owner's attr.* resource ledger. `tp_core`
-  // selects the tracepoint ring the drop probe lands in — sharded lanes
-  // pass their own core so per-lane decision sequences stay separable.
+  // selects the tracepoint ring the drop probe lands in — each lane passes
+  // its own core so per-lane decision sequences stay separable.
   // `tenant` attributes the drop to a tenant's tenant.<id>.drops counter
   // (0 = untenanted; the ledger and tracepoint carry the pid either way).
   void RecordDrop(net::Direction dir, DropReason reason, uint32_t owner_pid,
@@ -184,13 +185,13 @@ class SmartNic {
     // DropReason::kCorrupt (graceful degradation under wire faults). Costs
     // zero virtual time — real NICs verify in the MAC at line rate.
     bool verify_rx_checksums = true;
-    // Entries per sharded lane's ingress/staging ring pair (power of two).
-    // Only used once EnableSharding carves lanes.
+    // Entries per lane's ingress/staging ring pair (power of two). A frame
+    // waits there only when its lane is busy (see DeliverFromWire).
     uint32_t lane_ring_entries = 1024;
   };
 
-  // Upper bound on sharded dataplane lanes (matches the default RX queue
-  // count and the tracepoint layer's per-lane ring allowance).
+  // Upper bound on dataplane lanes (matches the default RX queue count and
+  // the tracepoint layer's per-lane ring allowance).
   static constexpr uint16_t kMaxShardQueues = 8;
   // Frames a lane drain pops per event through the span APIs.
   static constexpr uint32_t kLaneDrainBatch = 16;
@@ -241,17 +242,15 @@ class SmartNic {
     // RSS configuration (the "partition the NIC" debugging scenario).
     RssEngine& rss() { return nic_->rss_; }
 
-    // Shards the dataplane into `num_queues` per-core lanes (§ DESIGN.md
-    // "Multi-queue sharding"): per-queue RX/TX ring pairs, per-lane
-    // pipeline/stage/DMA resources, a partitioned flow cache, and the
-    // simulator's deterministic lane-interleave schedule. Off by default —
-    // pinned golden trajectories predate it. One-shot: re-sharding a live
+    // Carves the NIC's born lane into `num_queues` per-core q<N> lanes
+    // (DESIGN.md §5b): per-queue RX/TX ring pairs, per-lane pipeline/
+    // stage/DMA resources, a partitioned flow cache, and the simulator's
+    // deterministic lane-interleave schedule. One-shot: re-carving a live
     // dataplane would orphan in-flight lane state.
     Status EnableSharding(uint16_t num_queues);
-    bool sharded() const { return !nic_->lanes_.empty(); }
-    uint16_t shard_queues() const {
-      return static_cast<uint16_t>(nic_->lanes_.size());
-    }
+    // True once EnableSharding has carved the born lane.
+    bool sharded() const { return nic_->born_lane_ != nullptr; }
+    uint16_t shard_queues() const { return nic_->shard_queues(); }
 
     // Validated indirection-table rewrite: rejects out-of-range slots and
     // queues (see RssEngine::SetIndirection) and, when the dataplane is
@@ -357,21 +356,19 @@ class SmartNic {
   // ---- Introspection ------------------------------------------------------
   const NicStats& stats() const { return stats_; }
   const sim::Resource& wire() const { return wire_; }
-  const sim::Resource& pipeline_resource() const { return pipeline_; }
-  const sim::Resource& dma_engine() const { return dma_engine_; }
-  // Aggregate stage-execution time (per-stage latency + overlay
-  // instructions, or the flow-cache hit cost on fast-path replays).
-  // Accounting-only: the completion-time model is unchanged; this resource
-  // exists so stage time is invariant-bound in the profiler like every
-  // other core.
-  const sim::Resource& stage_engine() const { return stages_; }
+  // Per-lane resources, `lane` < shard_queues().
+  const sim::Resource& pipeline_resource(uint16_t lane) const {
+    return lanes_[lane]->pipeline;
+  }
+  const sim::Resource& dma_engine(uint16_t lane) const {
+    return lanes_[lane]->dma;
+  }
   const DdioModel& ddio() const { return ddio_; }
   const TenantTable& tenants() const { return tenant_table_; }
   const sim::CostModel& cost() const { return options_.cost; }
   uint64_t mmio_writes() const { return regs_.write_count(); }
   sim::Simulator* simulator() { return sim_; }
-  // Sharding introspection (0 lanes = the historical serial dataplane).
-  bool sharded() const { return !lanes_.empty(); }
+  // Dataplane lanes: 1 for a born NIC, N once EnableSharding carved N.
   uint16_t shard_queues() const {
     return static_cast<uint16_t>(lanes_.size());
   }
@@ -404,29 +401,26 @@ class SmartNic {
     bool cacheable = true;
   };
 
-  // Runs the chain, aggregating overlay instruction counts and stopping at
-  // the first non-Accept verdict. After a stage that reports `mutated`,
-  // `ctx` is re-pointed at the packet's bytes and parse memo (which the
-  // rewrite kept exact), so downstream stages, schedulers, and RSS see the
-  // new headers without a re-parse. When `mint` is non-null the walk is
-  // summarized into a prospective flow-cache entry.
-  // For traced packets (trace_id != 0) emits one span per executed stage
-  // starting at `stage_start`, each charged stage latency + its overlay
-  // instructions, so the spans tile exactly onto the pipeline's cost-model
-  // time.
-  // One dataplane shard (EnableSharding): per-core virtual-time resources
-  // that serve in parallel across lanes, the per-queue ingress/staging
-  // ring pair, profiler core ids and drain state. Resources own their
-  // per-queue names ("nic.pipeline.q<N>", ...).
+  // One dataplane lane: per-core virtual-time resources that serve in
+  // parallel across lanes, the per-queue ingress/staging ring pair,
+  // profiler core ids and drain state. A NIC is born with one lane (index
+  // 0, resources "nic.pipeline"/"nic.stages"/"nic.dma", tracepoint core
+  // kCoreNic); EnableSharding carves lanes whose names carry ".q<N>".
   struct Lane {
-    Lane(uint16_t idx, uint32_t ring_entries)
+    Lane(uint16_t idx, const std::string& suffix, uint32_t tp,
+         uint32_t ring_entries)
         : index(idx),
-          pipeline("nic.pipeline.q" + std::to_string(idx)),
-          stages("nic.stages.q" + std::to_string(idx)),
-          dma("nic.dma.q" + std::to_string(idx)),
+          tp_core(tp),
+          pipeline("nic.pipeline" + suffix),
+          stages("nic.stages" + suffix),
+          dma("nic.dma" + suffix),
           rings(ring_entries) {}
-    uint16_t index;
+    uint16_t index;  // interleave-schedule tag and flow-cache partition
+    uint32_t tp_core;  // tracepoint ring for this lane's decisions
     sim::Resource pipeline;
+    // Accounting-only: accrues per-stage latency + overlay instructions (or
+    // the flow-cache hit cost) so stage time is invariant-bound in the
+    // profiler like every other core.
     sim::Resource stages;
     sim::Resource dma;
     // RX side: wire-ingress frames awaiting this lane's batched drain.
@@ -443,27 +437,21 @@ class SmartNic {
     std::array<net::PacketPtr, kLaneDrainBatch> burst;
   };
 
-  // Which resources/cores a packet charges: the shared (unsharded) set or
-  // one lane's. Threading this through the datapath keeps the sharded and
-  // historical paths one body of code.
-  struct LaneRefs {
-    sim::Resource* pipeline;
-    sim::Resource* stages;
-    sim::Resource* dma;
-    uint32_t core_pipe;
-    uint32_t core_stages;
-    uint32_t core_dma;
-    uint32_t tp_core;     // tracepoint ring for this context
-    uint16_t lane;        // sim::Simulator::kNoLane when unsharded
-    uint16_t cache_part;  // flow-cache partition (0 unsharded)
-  };
-
+  // Runs the chain, aggregating overlay instruction counts and stopping at
+  // the first non-Accept verdict. After a stage that reports `mutated`,
+  // `ctx` is re-pointed at the packet's bytes and parse memo (which the
+  // rewrite kept exact), so downstream stages, schedulers, and RSS see the
+  // new headers without a re-parse. When `mint` is non-null the walk is
+  // summarized into a prospective flow-cache entry.
+  // For traced packets (trace_id != 0) emits one span per executed stage
+  // starting at `stage_start`, each charged stage latency + its overlay
+  // instructions, so the spans tile exactly onto the pipeline's cost-model
+  // time.
   // `stage_sites` is the per-stage attribution-site vector parallel to
   // `stages` (tx_stage_sites_/rx_stage_sites_); each executed stage's cost
-  // is charged to `lr`'s stage engine and, when profiling, to the stage's
+  // is charged to `lane`'s stage engine and, when profiling, to the stage's
   // own node under the enclosing scope for `owner_slot`.
-  StageResult RunStages(const LaneRefs& lr,
-                        const std::vector<PipelineStage*>& stages,
+  StageResult RunStages(Lane& lane, const std::vector<PipelineStage*>& stages,
                         net::Packet& packet, overlay::PacketContext& ctx,
                         Nanos stage_start, uint32_t trace_id,
                         FlowCacheMint* mint,
@@ -514,18 +502,25 @@ class SmartNic {
   // `memo` may be null (host-injected packets bypass burst memoization).
   void ProcessTxDescriptor(net::PacketPtr packet, net::ConnectionId conn_id,
                            FlowEntry* entry, Nanos now, TxBurst& burst,
-                           FastPathMemo* memo, const LaneRefs& lr);
+                           FastPathMemo* memo, Lane& lane);
   void ConsumeTxRing(net::ConnectionId conn_id);
   // The RX datapath body (pipeline → stages/fast path → flow match → DMA →
-  // ring push → notify) for one frame, charging `lr`'s resources.
-  void ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet, Nanos now);
+  // ring push → notify) for one frame steered to `lane`; `entry` is the
+  // frame's flow-table match (null when unmatched).
+  void ProcessRxFrame(Lane& lane, net::PacketPtr packet, FlowEntry* entry,
+                      Nanos now);
+  // The idle-lane rule: a frame that finds its lane's ring empty and no
+  // drain pending is served at arrival when the NIC has one lane, or when
+  // no other event is due by `now` (the drain would have been the very
+  // next event, so serving inline cannot reorder anything).
+  bool ServesOnArrival(bool ring_empty, bool drain_scheduled,
+                       Nanos now) const;
   // Batched lane drains: pop up to kLaneDrainBatch frames through the span
   // APIs and run them through the lane's resources; re-arm via the
   // simulator's lane-interleave schedule while frames remain.
   void DrainRxLane(uint16_t queue);
   void DrainTxLane(uint16_t queue);
   Status EnableShardingImpl(uint16_t num_queues);
-  LaneRefs LaneRefsFor(uint16_t queue);
   // TX lane for a flow: the seeded RSS hash of its TX tuple, so a flow's
   // two directions land on deterministic (generally matching) lanes.
   uint16_t TxLaneOf(const FlowEntry* entry) const;
@@ -590,22 +585,19 @@ class SmartNic {
   };
   std::array<SlotState, kNumOverlaySlots> overlay_slots_;
 
-  sim::Resource dma_engine_{"nic.dma"};
-  sim::Resource pipeline_{"nic.pipeline"};
   sim::Resource wire_{"nic.wire"};
-  sim::Resource stages_{"nic.stages"};
 
-  // Sharded lanes (empty until EnableSharding). unique_ptr: Lane owns
-  // resources whose registered busy-callbacks capture their address.
+  // The lanes frames are steered to: the born lane until EnableSharding
+  // carves q<N> lanes. unique_ptr: Lane owns resources whose registered
+  // busy-callbacks capture their address. Declared after the lane gauges
+  // (ring destructors settle into them).
   std::vector<std::unique_ptr<Lane>> lanes_;
-  // The unsharded resource/core set, threaded through the shared datapath.
-  LaneRefs default_refs_{};
+  // The born lane once carved away (null before): its profiler cores stay
+  // registered and keep reading its busy time.
+  std::unique_ptr<Lane> born_lane_;
 
   // ---- Cycle attribution (telemetry::Profiler, owned by the simulator) --
   telemetry::Profiler* prof_;
-  uint32_t prof_core_dma_ = 0;
-  uint32_t prof_core_pipe_ = 0;
-  uint32_t prof_core_stages_ = 0;
   uint32_t prof_core_wire_ = 0;
   // Scope/charge sites. TX and RX keep separate sites for the shared frame
   // names (dma/pipeline/...) so each memo sees a constant parent and the

@@ -38,7 +38,7 @@ namespace norman::nic {
 class TenantTable {
  public:
   // Matches SmartNic::kMaxShardQueues (static_asserted in smart_nic.cc);
-  // lane 0 doubles as the unsharded pipeline.
+  // lane 0 is also an uncarved NIC's born lane.
   static constexpr uint16_t kMaxLanes = 8;
 
   explicit TenantTable(telemetry::MetricsRegistry* registry)

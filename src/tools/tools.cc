@@ -1,5 +1,6 @@
 #include "src/tools/tools.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -538,14 +539,20 @@ std::string NicStat(const kernel::Kernel& k, const nic::SmartNic& nic) {
   }
   out << "\n";
   if (now > 0) {
+    // Each lane has its own pipeline and DMA engine: the busiest one is
+    // the NIC's bottleneck.
+    double pipeline = 0;
+    double dma = 0;
+    for (uint16_t q = 0; q < nic.shard_queues(); ++q) {
+      pipeline = std::max(pipeline, nic.pipeline_resource(q).Utilization(now));
+      dma = std::max(dma, nic.dma_engine(q).Utilization(now));
+    }
     char util[128];
     std::snprintf(util, sizeof(util),
                   "  utilization: wire %.1f%%, pipeline %.1f%%, dma %.1f%%, "
                   "kernel-core %.1f%%\n",
-                  nic.wire().Utilization(now) * 100,
-                  nic.pipeline_resource().Utilization(now) * 100,
-                  nic.dma_engine().Utilization(now) * 100,
-                  k.kernel_core().Utilization(now) * 100);
+                  nic.wire().Utilization(now) * 100, pipeline * 100,
+                  dma * 100, k.kernel_core().Utilization(now) * 100);
     out << util;
   }
   return out.str();
@@ -998,7 +1005,7 @@ std::string TopByCore(const kernel::Kernel& k, const nic::SmartNic& nic) {
                 "high-water");
   out << line;
   for (const auto& row : QueueRows(sim->metrics())) {
-    // Only the sharded lanes' ring pairs ("nic.{tx,rx}_ring.q<N>").
+    // Only the lanes' ring pairs ("nic.{tx,rx}_ring.q<N>").
     if (row.name.find("_ring.q") == std::string::npos) {
       continue;
     }

@@ -27,7 +27,7 @@ struct RunTrace {
 RunTrace RunWorld(uint64_t seed, uint32_t trace_sample = 0,
                   bool monitor = false, bool fastpath = false,
                   uint32_t dispatch_batch = 0, bool profiler = false,
-                  bool tracepoints = false, uint32_t shard_queues = 0) {
+                  bool tracepoints = false, uint16_t shard_queues = 1) {
   workload::TestBedOptions opts;
   opts.echo = true;
   if (monitor) {
@@ -49,17 +49,14 @@ RunTrace RunWorld(uint64_t seed, uint32_t trace_sample = 0,
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  if (monitor) {
-    k.nic_control().EnableTopTalkers(16);
-    k.StartMaintenance();
-  }
-  if (fastpath) {
-    k.nic_control().EnableFlowCache(1024);
-  }
-  if (shard_queues != 0) {
-    // Must precede the connects: sharding is one-shot and re-steers flows.
-    EXPECT_TRUE(k.nic_control().EnableSharding(shard_queues).ok());
-  }
+  // Must precede the connects: sharding is one-shot and re-steers flows.
+  kernel::NicConfig cfg;
+  cfg.top_talkers = monitor;
+  cfg.top_talker_entries = 16;
+  cfg.maintenance = monitor;
+  cfg.flow_cache = fastpath;
+  cfg.shard_queues = shard_queues;
+  EXPECT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
   const auto peer = net::Ipv4Address::FromOctets(10, 0, 0, 2);
 
   auto s1 = Socket::Connect(&k, pid, peer, 1000, {});
@@ -107,8 +104,10 @@ TEST(DeterminismTest, IdenticalSeedsIdenticalTraces) {
 // must reproduce the virtual-time behavior bit-for-bit: same frames, same
 // bytes, same final clock, and the same completion timestamp sequence
 // (FNV-1a-hashed here to keep the golden compact). events_processed is
-// deliberately NOT pinned — descriptor batching legitimately elides
-// intermediate fetch wake-ups without reordering any observable event.
+// pinned separately (GoldenTraceIdenticalAtEveryDispatchBatchSize) as an
+// exact work count: descriptor batching legitimately elides intermediate
+// fetch wake-ups, and any event that creeps back (a lane drain per frame,
+// say) must show up there.
 uint64_t Fnv1aHash(const std::vector<Nanos>& completions) {
   uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
   for (const Nanos c : completions) {
@@ -182,12 +181,16 @@ TEST(DeterminismTest, FastPathOnMatchesGoldenTrajectory) {
 // siblings live in a buffer, not the heap) and when device loops decide to
 // continue inline. This pins the whole trajectory, final clock included, at
 // batch sizes 1 (the historical per-event loop), 8, and 64: any divergence
-// means batching leaked into observable virtual-time behavior.
+// means batching leaked into observable virtual-time behavior. The event
+// count is pinned too: it is the exact work the default NIC dispatches,
+// with every frame served on arrival by its idle lane.
 TEST(DeterminismTest, GoldenTraceIdenticalAtEveryDispatchBatchSize) {
   for (const uint32_t batch : {1u, 8u, 64u}) {
     SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                 /*fastpath=*/false, batch));
+    const RunTrace t = RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
+                                /*fastpath=*/false, batch);
+    ExpectMatchesGolden(t);
+    EXPECT_EQ(t.events, 2503u);
   }
 }
 
@@ -283,13 +286,11 @@ TEST(DeterminismTest, TracepointsJournalIsByteStable) {
   EXPECT_EQ(a.journal_json, b.journal_json);
 }
 
-// Sharding at num_queues=1 exercises the whole lane machinery — ingress
-// steering, the lane ring hop, the batched drain, lane-tagged continuations
-// — but with one lane the interleave schedule degenerates to the historical
-// (when, seq) order and every packet serializes through lane 0's resources
-// exactly as it did through the shared ones. The pre-pooling golden must
-// hold bit-for-bit: that is the proof the sharded code path costs nothing
-// it didn't cost before.
+// Every NIC is a lane NIC: a 1-lane config is the NIC as born, whose one
+// lane steers at MAC ingress and serves every frame on arrival (its ring
+// never holds a frame), with the interleave schedule degenerate to the
+// historical (when, seq) order. Asking for one lane explicitly must
+// reproduce the pre-pooling golden bit-for-bit.
 TEST(DeterminismTest, ShardedSingleLaneMatchesGoldenTrace) {
   ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
                                /*fastpath=*/false, /*dispatch_batch=*/0,

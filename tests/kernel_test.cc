@@ -139,11 +139,14 @@ TEST_F(KernelTest, FilterRulesRequireRoot) {
             StatusCode::kPermissionDenied);
   EXPECT_EQ(bed_.kernel().StartCapture(1001).code(),
             StatusCode::kPermissionDenied);
-  EXPECT_EQ(bed_.kernel()
-                .EnableNat(1001, Ipv4Address::FromOctets(10, 0, 0, 0), 8,
-                           Ipv4Address::FromOctets(1, 1, 1, 1))
-                .code(),
+  kernel::NicConfig nat;
+  nat.nat = true;
+  nat.nat_private_prefix = Ipv4Address::FromOctets(10, 0, 0, 0).addr;
+  nat.nat_prefix_len = 8;
+  nat.nat_public_ip = Ipv4Address::FromOctets(1, 1, 1, 1).addr;
+  EXPECT_EQ(bed_.kernel().Configure(/*caller=*/1001, nat).code(),
             StatusCode::kPermissionDenied);
+  EXPECT_EQ(bed_.kernel().nat(), nullptr);
 }
 
 TEST_F(KernelTest, OutputFilterDropsOnTxPath) {
@@ -267,14 +270,17 @@ TEST_F(KernelTest, BlockOnRxRequiresNotifyOption) {
 }
 
 TEST_F(KernelTest, NatIntegratesIntoTxPipeline) {
-  ASSERT_TRUE(bed_.kernel()
-                  .EnableNat(kRootUid, Ipv4Address::FromOctets(10, 0, 0, 0),
-                             8, Ipv4Address::FromOctets(203, 0, 113, 9))
-                  .ok());
-  EXPECT_FALSE(bed_.kernel()
-                   .EnableNat(kRootUid, Ipv4Address::FromOctets(10, 0, 0, 0),
-                              8, Ipv4Address::FromOctets(203, 0, 113, 9))
-                   .ok());  // double enable
+  kernel::NicConfig nat;
+  nat.nat = true;
+  nat.nat_private_prefix = Ipv4Address::FromOctets(10, 0, 0, 0).addr;
+  nat.nat_prefix_len = 8;
+  nat.nat_public_ip = Ipv4Address::FromOctets(203, 0, 113, 9).addr;
+  ASSERT_TRUE(bed_.kernel().Configure(kRootUid, nat).ok());
+  // A live NAT cannot be enabled again with other parameters.
+  kernel::NicConfig again = nat;
+  again.nat_public_ip = Ipv4Address::FromOctets(203, 0, 113, 10).addr;
+  EXPECT_EQ(bed_.kernel().Configure(kRootUid, again).code(),
+            StatusCode::kFailedPrecondition);
   auto sock = norman::Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 80, {});
   ASSERT_TRUE(sock.ok());
   ASSERT_TRUE(sock->Send("hello").ok());

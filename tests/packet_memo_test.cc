@@ -259,7 +259,7 @@ TEST(PacketMemoTest, AllocPlusOffloadEqualsBuiltFrameByteForByte) {
 struct WorldConfig {
   bool flow_cache = false;
   bool nat = false;
-  uint16_t shard_queues = 0;
+  uint16_t shard_queues = 1;
   double corruption = 0;
   double duplication = 0;
   double truncation = 0;  // applied by the wire sink below
@@ -435,7 +435,7 @@ TEST(PacketMemoWorldTest, EveryNicEntrySeesExactMemos) {
   uint64_t seed = 1;
   for (const bool cache : {false, true}) {
     for (const bool nat : {false, true}) {
-      for (const uint16_t shards : {uint16_t{0}, uint16_t{4}}) {
+      for (const uint16_t shards : {uint16_t{1}, uint16_t{4}}) {
         RunWorld({cache, nat, shards, 0, 0, 0}, seed++);
         RunWorld({cache, nat, shards, 0.2, 0, 0}, seed++);
         RunWorld({cache, nat, shards, 0, 0.2, 0}, seed++);

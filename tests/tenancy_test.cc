@@ -275,33 +275,72 @@ TEST(TenancyTest, ConfigureIsAtomic) {
   EXPECT_EQ(k.Configure(/*caller=*/1001, good).code(),
             StatusCode::kPermissionDenied);
 
-  // Out-of-range shard counts are named invalid, not silently clamped.
+  // Out-of-range shard counts are named invalid, not silently clamped; a
+  // NIC always has at least its born lane, so 0 is out of range too.
   NicConfig shards = good;
   shards.shard_queues = nic::SmartNic::kMaxShardQueues + 1;
   EXPECT_EQ(k.Configure(kRootUid, shards).code(),
             StatusCode::kInvalidArgument);
+  shards.shard_queues = 0;
+  EXPECT_EQ(k.Configure(kRootUid, shards).code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(TenancyTest, DeprecatedShimsStillWork) {
-  workload::TestBed bed;
+// Re-applying the active config is how callers re-arm a parked maintenance
+// tick, so it must change nothing else: the flow cache keeps its entries
+// and the top-talkers table its flows. NAT stays one-shot: while live it
+// can be neither removed nor re-parameterized.
+TEST(TenancyTest, ReapplyingTheActiveConfigIsANoOp) {
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  workload::TestBed bed(opts);
   auto& k = bed.kernel();
-  // The accreted per-feature toggles survive as shims over the same state
-  // Configure manages; old callers keep working unchanged.
-  EXPECT_NE(k.nic_control().EnableFlowCache(512), nullptr);
-  EXPECT_NE(k.nic_control().EnableTopTalkers(8), nullptr);
-  k.StartMaintenance();
-  EXPECT_TRUE(k.maintenance_running());
-  EXPECT_TRUE(k.EnableNat(kRootUid, net::Ipv4Address::FromOctets(10, 0, 0, 0),
-                          8, net::Ipv4Address::FromOctets(203, 0, 113, 1))
-                  .ok());
-  // And Configure composes with shim-established state: NAT removal is the
-  // documented one-shot precondition failure.
+  k.processes().AddUser(1, "u");
+  const auto pid = *k.processes().Spawn(1, "app");
   NicConfig cfg;
-  EXPECT_EQ(k.Configure(kRootUid, cfg).code(),
-            StatusCode::kFailedPrecondition);
+  cfg.flow_cache = true;
+  cfg.flow_cache_entries = 512;
+  cfg.top_talkers = true;
+  cfg.top_talker_entries = 8;
+  cfg.maintenance = true;
   cfg.nat = true;
+  cfg.nat_private_prefix = net::Ipv4Address::FromOctets(10, 0, 0, 0).addr;
   cfg.nat_prefix_len = 8;
-  EXPECT_TRUE(k.Configure(kRootUid, cfg).ok());
+  cfg.nat_public_ip = net::Ipv4Address::FromOctets(203, 0, 113, 1).addr;
+  ASSERT_TRUE(k.Configure(kRootUid, cfg).ok());
+  EXPECT_TRUE(k.maintenance_running());
+
+  auto sock = Socket::Connect(&k, pid, net::Ipv4Address::FromOctets(10, 0, 0, 2),
+                              4000, {});
+  ASSERT_TRUE(sock.ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(sock->Send(std::vector<uint8_t>(64, 0x11)).ok());
+  }
+  bed.sim().Run();
+  EXPECT_FALSE(k.maintenance_running());  // parked: the heap drained
+
+  auto& cp = k.nic_control();
+  const size_t cached = cp.flow_cache().size();
+  const nic::TopTalkers* tt = cp.top_talkers();
+  ASSERT_NE(tt, nullptr);
+  const size_t flows = tt->size();
+  EXPECT_GT(cached, 0u);
+  EXPECT_GT(flows, 0u);
+  ASSERT_TRUE(k.Configure(kRootUid, k.active_config()).ok());
+  EXPECT_TRUE(k.maintenance_running());  // re-armed
+  EXPECT_EQ(cp.flow_cache().size(), cached);
+  EXPECT_EQ(cp.top_talkers(), tt);
+  EXPECT_EQ(tt->size(), flows);
+
+  NicConfig moved = cfg;
+  moved.nat_public_ip = net::Ipv4Address::FromOctets(203, 0, 113, 2).addr;
+  EXPECT_EQ(k.Configure(kRootUid, moved).code(),
+            StatusCode::kFailedPrecondition);
+  NicConfig off = cfg;
+  off.nat = false;
+  EXPECT_EQ(k.Configure(kRootUid, off).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(k.active_config().nat_public_ip, cfg.nat_public_ip);
 }
 
 // ---- Determinism: tenancy disabled == tenancy absent ----------------------

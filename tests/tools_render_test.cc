@@ -20,46 +20,53 @@ namespace {
 constexpr auto kPeerIp = net::Ipv4Address::FromOctets(10, 0, 0, 2);
 
 // Fixed traffic: 4 accepted UDP sends (echoed), 3 filtered sends, 2
-// unmatched peer datagrams, 1 unparseable runt frame.
+// unmatched peer datagrams, 1 unparseable runt frame, on a NIC with
+// `lanes` dataplane lanes.
+std::unique_ptr<workload::TestBed> RunRenderWorld(uint16_t lanes) {
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  auto bed = std::make_unique<workload::TestBed>(opts);
+  auto& k = bed->kernel();
+  kernel::NicConfig cfg;
+  cfg.shard_queues = lanes;
+  EXPECT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
+  k.processes().AddUser(1001, "alice");
+  k.processes().AddUser(1002, "bob");
+  const auto web_pid = *k.processes().Spawn(1001, "webapp");
+  const auto batch_pid = *k.processes().Spawn(1002, "batch");
+
+  EXPECT_TRUE(tools::IptablesAppend(&k, kernel::kRootUid,
+                                    "-A OUTPUT -p udp --dport 7777 "
+                                    "-j ACCEPT")
+                  .ok());
+  EXPECT_TRUE(tools::IptablesAppend(&k, kernel::kRootUid,
+                                    "-A OUTPUT -p udp --dport 9999 -j DROP")
+                  .ok());
+
+  auto good = Socket::Connect(&k, web_pid, kPeerIp, 7777, {});
+  auto bad = Socket::Connect(&k, batch_pid, kPeerIp, 9999, {});
+  EXPECT_TRUE(good.ok());
+  EXPECT_TRUE(bad.ok());
+  const std::vector<uint8_t> payload(200, 0xab);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(good->Send(payload).ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(bad->Send(payload).ok());
+  }
+  bed->sim().Run();
+  Nanos t = bed->sim().Now();
+  bed->InjectUdpFromPeer(1234, 4321, 64, t += kMicrosecond);
+  bed->InjectUdpFromPeer(1234, 4321, 64, t += kMicrosecond);
+  bed->InjectFromNetwork(net::MakePacket(std::vector<uint8_t>(6, 0xee)),
+                         t += kMicrosecond);
+  bed->sim().Run();
+  return bed;
+}
+
 class RenderFixture : public ::testing::Test {
  protected:
-  RenderFixture() {
-    workload::TestBedOptions opts;
-    opts.echo = true;
-    bed_ = std::make_unique<workload::TestBed>(opts);
-    auto& k = bed_->kernel();
-    k.processes().AddUser(1001, "alice");
-    k.processes().AddUser(1002, "bob");
-    const auto web_pid = *k.processes().Spawn(1001, "webapp");
-    const auto batch_pid = *k.processes().Spawn(1002, "batch");
-
-    EXPECT_TRUE(tools::IptablesAppend(&k, kernel::kRootUid,
-                                      "-A OUTPUT -p udp --dport 7777 "
-                                      "-j ACCEPT")
-                    .ok());
-    EXPECT_TRUE(tools::IptablesAppend(&k, kernel::kRootUid,
-                                      "-A OUTPUT -p udp --dport 9999 -j DROP")
-                    .ok());
-
-    auto good = Socket::Connect(&k, web_pid, kPeerIp, 7777, {});
-    auto bad = Socket::Connect(&k, batch_pid, kPeerIp, 9999, {});
-    EXPECT_TRUE(good.ok());
-    EXPECT_TRUE(bad.ok());
-    const std::vector<uint8_t> payload(200, 0xab);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE(good->Send(payload).ok());
-    }
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_TRUE(bad->Send(payload).ok());
-    }
-    bed_->sim().Run();
-    Nanos t = bed_->sim().Now();
-    bed_->InjectUdpFromPeer(1234, 4321, 64, t += kMicrosecond);
-    bed_->InjectUdpFromPeer(1234, 4321, 64, t += kMicrosecond);
-    bed_->InjectFromNetwork(net::MakePacket(std::vector<uint8_t>(6, 0xee)),
-                            t += kMicrosecond);
-    bed_->sim().Run();
-  }
+  RenderFixture() : bed_(RunRenderWorld(/*lanes=*/1)) {}
 
   std::unique_ptr<workload::TestBed> bed_;
 };
@@ -85,6 +92,17 @@ TEST_F(RenderFixture, NicStatGolden) {
       "  utilization: wire 0.9%, pipeline 1.1%, dma 11.6%, kernel-core "
       "0.0%\n";
   EXPECT_EQ(got, want) << "---- actual ----\n" << got;
+}
+
+// Carved into 4 lanes, each lane has its own pipeline and DMA engine and
+// the born lane's sit idle: the utilization line reports the busiest lane.
+TEST(RenderTest, NicStatReportsBusiestLane) {
+  const auto bed = RunRenderWorld(/*lanes=*/4);
+  const std::string got = tools::NicStat(bed->kernel(), bed->nic());
+  const std::string want =
+      "  utilization: wire 0.9%, pipeline 0.8%, dma 7.5%, kernel-core 0.0%\n";
+  EXPECT_NE(got.find(want), std::string::npos) << "---- actual ----\n"
+                                                << got;
 }
 
 TEST_F(RenderFixture, NicStatDropsGolden) {
