@@ -38,7 +38,11 @@ namespace {
 std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line. Inlined into one caller, GCC would
+// pair the malloc inside operator new with operator delete, or the free
+// inside operator delete with operator new, and report a mismatch
+// (-Wmismatched-new-delete) that the replacements, kept whole, do not have.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) {
     return p;
@@ -46,12 +50,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -18,6 +18,7 @@
 // same process on the same machine. JSON lines go to stdout after the
 // table; bench/check_bench_regression.py enforces >= 1.8x at 4 queues.
 #include <cstdio>
+#include <initializer_list>
 
 #include "src/net/packet_builder.h"
 #include "src/nic/smart_nic.h"
@@ -128,7 +129,7 @@ int main() {
   std::printf("%-8s %12s %12s %14s %18s %9s\n", "queues", "delivered",
               "events", "virtual-us", "frames/virtual-s", "scaling");
 
-  for (const uint16_t q : {2u, 4u, 8u}) {
+  for (const uint16_t q : std::initializer_list<uint16_t>{2, 4, 8}) {
     // Paired runs: the 1-queue partner immediately precedes its multi-queue
     // measurement so the gate's ratio is insensitive to anything global.
     const RunResult base = RunStorm(1);
@@ -151,7 +152,7 @@ int main() {
   std::printf("\n");
 
   // JSON lines for the regression gate, pair-tagged.
-  for (const uint16_t q : {2u, 4u, 8u}) {
+  for (const uint16_t q : std::initializer_list<uint16_t>{2, 4, 8}) {
     const RunResult base = RunStorm(1);
     const RunResult multi = RunStorm(q);
     EmitJson(1, q, base);

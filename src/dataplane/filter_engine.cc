@@ -126,19 +126,38 @@ overlay::Program CompileFilterChain(const std::vector<FilterRule>& rules,
                              [](const FilterRule&) { return true; });
 }
 
+namespace {
+
+// Bucket i of FilterEngine serves IPv4 frames of kBucketProtos[i].
+constexpr net::IpProto kBucketProtos[] = {
+    net::IpProto::kTcp, net::IpProto::kUdp, net::IpProto::kIcmp};
+
+bool InBucket(const FilterRule& r, net::IpProto proto) {
+  return !r.proto || *r.proto == proto;
+}
+
+}  // namespace
+
+overlay::Program CompileFilterBucket(const std::vector<FilterRule>& rules,
+                                     FilterAction default_action,
+                                     net::IpProto proto) {
+  return CompileFilterSubset(
+      rules, default_action,
+      [proto](const FilterRule& r) { return InBucket(r, proto); });
+}
+
 FilterEngine::FilterEngine(FilterAction default_action)
     : default_action_(default_action) {
-  NORMAN_CHECK(Recompile().ok());
+  NORMAN_CHECK(Recompile(kAllBuckets).ok());
 }
 
 StatusOr<size_t> FilterEngine::AppendRule(const FilterRule& rule) {
   rules_.push_back(rule);
   hits_.push_back(0);
-  const Status s = Recompile();
+  const Status s = Recompile(BucketsFrom(rules_.size() - 1));
   if (!s.ok()) {
     rules_.pop_back();
     hits_.pop_back();
-    NORMAN_CHECK(Recompile().ok());
     return ResourceExhaustedError(
         "filter: chain no longer fits overlay instruction memory (" +
         s.message() + ")");
@@ -152,11 +171,10 @@ Status FilterEngine::InsertRule(size_t index, const FilterRule& rule) {
   }
   rules_.insert(rules_.begin() + static_cast<ptrdiff_t>(index), rule);
   hits_.insert(hits_.begin() + static_cast<ptrdiff_t>(index), 0);
-  const Status s = Recompile();
+  const Status s = Recompile(BucketsFrom(index));
   if (!s.ok()) {
     rules_.erase(rules_.begin() + static_cast<ptrdiff_t>(index));
     hits_.erase(hits_.begin() + static_cast<ptrdiff_t>(index));
-    NORMAN_CHECK(Recompile().ok());
     return ResourceExhaustedError(
         "filter: chain no longer fits overlay instruction memory");
   }
@@ -167,53 +185,69 @@ Status FilterEngine::DeleteRule(size_t index) {
   if (index >= rules_.size()) {
     return OutOfRangeError("filter: no rule at index");
   }
+  // Taken before the erase: the deleted rule and every later one.
+  const uint32_t buckets = BucketsFrom(index);
   rules_.erase(rules_.begin() + static_cast<ptrdiff_t>(index));
   hits_.erase(hits_.begin() + static_cast<ptrdiff_t>(index));
-  NORMAN_CHECK(Recompile().ok());
+  NORMAN_CHECK(Recompile(buckets).ok());
   return OkStatus();
 }
 
 void FilterEngine::Flush() {
   rules_.clear();
   hits_.clear();
-  NORMAN_CHECK(Recompile().ok());
+  NORMAN_CHECK(Recompile(kAllBuckets).ok());
 }
 
 void FilterEngine::SetDefaultAction(FilterAction action) {
   default_action_ = action;
-  NORMAN_CHECK(Recompile().ok());
+  NORMAN_CHECK(Recompile(kAllBuckets).ok());
 }
 
-Status FilterEngine::Recompile() {
+uint32_t FilterEngine::BucketsFrom(size_t first) const {
+  uint32_t buckets = 0;
+  for (size_t i = first; i < rules_.size() && buckets != kAllBuckets; ++i) {
+    for (size_t b = 0; b < buckets_.size(); ++b) {
+      if (InBucket(rules_[i], kBucketProtos[b])) buckets |= 1u << b;
+    }
+  }
+  return buckets;
+}
+
+Status FilterEngine::Recompile(uint32_t buckets) {
+  // Every rule is in the full chain, so every change rebuilds it; it is
+  // built first so a chain that no longer fits changes nothing. Process()
+  // runs it only on frames that are not IPv4, where both guard fields
+  // read 0, so every proto rule folds away.
   overlay::Program candidate = CompileFilterChain(rules_, default_action_);
-  NORMAN_ASSIGN_OR_RETURN(overlay::Executable executable,
-                          overlay::Load(candidate));
+  NORMAN_ASSIGN_OR_RETURN(
+      overlay::Executable executable,
+      overlay::Load(candidate, overlay::FieldFacts()
+                                   .Set(Field::kIsIpv4, 0)
+                                   .Set(Field::kIpProto, 0)));
   all_ = {std::move(candidate), std::move(executable)};
-  // Per-protocol buckets are strict subsequences of a chain that just
-  // verified, so their verification cannot fail.
-  const auto bucket = [&](net::IpProto proto) {
-    overlay::Program p = CompileFilterSubset(
-        rules_, default_action_,
-        [proto](const FilterRule& r) { return !r.proto || *r.proto == proto; });
-    auto loaded = overlay::Load(p);
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    if ((buckets & (1u << b)) == 0) continue;
+    const net::IpProto proto = kBucketProtos[b];
+    overlay::Program program =
+        CompileFilterBucket(rules_, default_action_, proto);
+    // Process() runs this bucket only on IPv4 frames of `proto`. The
+    // bucket is a subsequence of a chain that just verified, so loading it
+    // cannot fail.
+    auto loaded = overlay::Load(
+        program, overlay::FieldFacts()
+                     .Set(Field::kIsIpv4, 1)
+                     .Set(Field::kIpProto, static_cast<uint64_t>(proto)));
     NORMAN_CHECK(loaded.ok()) << loaded.status();
-    return CompiledChain{std::move(p), *std::move(loaded)};
-  };
-  tcp_ = bucket(net::IpProto::kTcp);
-  udp_ = bucket(net::IpProto::kUdp);
-  icmp_ = bucket(net::IpProto::kIcmp);
+    buckets_[b] = {std::move(program), std::move(loaded).value()};
+  }
   return OkStatus();
 }
 
 const FilterEngine::CompiledChain& FilterEngine::chain_for(
     net::IpProto proto) const {
-  switch (proto) {
-    case net::IpProto::kTcp:
-      return tcp_;
-    case net::IpProto::kUdp:
-      return udp_;
-    case net::IpProto::kIcmp:
-      return icmp_;
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    if (kBucketProtos[b] == proto) return buckets_[b];
   }
   return all_;
 }
@@ -221,15 +255,14 @@ const FilterEngine::CompiledChain& FilterEngine::chain_for(
 nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
                                        const overlay::PacketContext& ctx) {
   // Bucket dispatch: a parsed IPv4 frame runs only the rules its protocol
-  // could match; everything else (ARP, unparsed, exotic protos) runs the
-  // full chain, whose kIsIpv4/kIpProto guards keep semantics identical.
+  // could match; everything else (ARP, non-IP, unparsed) runs the full
+  // chain, whose kIsIpv4/kIpProto guards keep semantics identical.
   const CompiledChain* chain = &all_;
   if (ctx.parsed != nullptr && ctx.parsed->is_ipv4()) {
-    const net::IpProto proto = ctx.parsed->ipv4->protocol;
-    if (proto == net::IpProto::kTcp || proto == net::IpProto::kUdp ||
-        proto == net::IpProto::kIcmp) {
-      chain = &chain_for(proto);
-    }
+    chain = &chain_for(ctx.parsed->ipv4->protocol);
+    // The parser yields IPv4 only for TCP, UDP and ICMP, and the full
+    // chain was loaded for frames that are not IPv4.
+    NORMAN_CHECK(chain != &all_) << "filter: IPv4 protocol without a bucket";
   }
   const overlay::ExecResult exec = overlay::Execute(chain->executable, ctx);
   const auto rule_index = static_cast<uint32_t>(exec.verdict >> 2);

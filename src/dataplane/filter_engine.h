@@ -8,13 +8,15 @@
 //
 // First-match-wins semantics, like an iptables chain; a configurable default
 // policy applies when nothing matches. The ruleset is *compiled to an
-// overlay program*, verified and decoded once per rule change, and executed
-// by the overlay engine — the engine is literally running on the simulated
-// soft processor, and its per-packet instruction count is charged by the
-// NIC at overlay_instr_ns each.
+// overlay program*, verified and decoded once per rule change (only the
+// programs the change can alter), and executed by the overlay engine — the
+// engine is literally running on the simulated soft processor, and its
+// per-packet instruction count is charged by the NIC at overlay_instr_ns
+// each.
 #ifndef NORMAN_DATAPLANE_FILTER_ENGINE_H_
 #define NORMAN_DATAPLANE_FILTER_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -67,6 +69,14 @@ struct FilterRule {
 overlay::Program CompileFilterChain(const std::vector<FilterRule>& rules,
                                     FilterAction default_action);
 
+// The chain restricted to the rules a frame of `proto` could match
+// (proto-unset rules plus proto == `proto`), compiled with the rules'
+// original chain indices: the program FilterEngine runs for an IPv4 frame
+// of `proto`.
+overlay::Program CompileFilterBucket(const std::vector<FilterRule>& rules,
+                                     FilterAction default_action,
+                                     net::IpProto proto);
+
 inline constexpr uint32_t kDefaultRuleIndex = 0x3fffffff;
 
 class FilterEngine : public nic::PipelineStage {
@@ -98,14 +108,18 @@ class FilterEngine : public nic::PipelineStage {
   const std::vector<uint64_t>& hit_counts() const { return hits_; }
   uint64_t default_hits() const { return default_hits_; }
 
-  // The compiled overlay program for the full chain (the bucket used for
-  // frames whose protocol has no dedicated bucket).
+  // The compiled overlay program for the full chain (the program frames
+  // that are not IPv4 run).
   const overlay::Program& compiled() const { return all_.program; }
 
   // The program Process() would run for a frame of `proto` (introspection
   // for tests/tools; kNone-style fallthrough uses compiled()).
   const overlay::Program& compiled_for(net::IpProto proto) const {
     return chain_for(proto).program;
+  }
+  // Its decoded form, which Process() runs.
+  const overlay::Executable& executable_for(net::IpProto proto) const {
+    return chain_for(proto).executable;
   }
 
   nic::StageResult Process(net::Packet& packet,
@@ -121,26 +135,33 @@ class FilterEngine : public nic::PipelineStage {
     overlay::Executable executable;
   };
 
-  // Rebuilds the compiled programs; on failure the ruleset must be restored
-  // by the caller before returning.
-  Status Recompile();
+  // Bit i of a bucket mask stands for buckets_[i].
+  static constexpr uint32_t kAllBuckets = 0x7;
+  // The buckets holding any of rules_[first..]: after an append, insert or
+  // delete at `first`, the ones holding the changed rule or a rule whose
+  // index shifted — the only programs the change can alter.
+  uint32_t BucketsFrom(size_t first) const;
+  // Rebuilds the full chain and the buckets in `buckets`. Fails, changing
+  // nothing, when the full chain no longer fits instruction memory.
+  Status Recompile(uint32_t buckets);
   const CompiledChain& chain_for(net::IpProto proto) const;
 
   FilterAction default_action_;
   std::vector<FilterRule> rules_;
   std::vector<uint64_t> hits_;
   uint64_t default_hits_ = 0;
-  // Full chain; also serves frames outside the bucketed protocols (ARP,
-  // unparseable, exotic IP protos), where proto-specific rules cannot match
-  // anyway thanks to their kIsIpv4/kIpProto guards.
+  // Full chain; serves the frames that are not IPv4 (ARP, non-IP,
+  // unparseable), where proto-specific rules cannot match thanks to their
+  // kIsIpv4/kIpProto guards. It is loaded with both fields known to be 0,
+  // so those rules fold away.
   CompiledChain all_;
-  // Install-time protocol buckets: the chain restricted to rules that could
-  // match that protocol (proto-unset rules plus proto == P), compiled with
-  // *original* rule indices so first-match order and per-rule hit
-  // attribution are untouched. TCP traffic never scans UDP-only rules.
-  CompiledChain tcp_;
-  CompiledChain udp_;
-  CompiledChain icmp_;
+  // Install-time protocol buckets for TCP, UDP and ICMP: the chain
+  // restricted to rules that could match that protocol (proto-unset rules
+  // plus proto == P), compiled with *original* rule indices so first-match
+  // order and per-rule hit attribution are untouched. TCP traffic never
+  // scans UDP-only rules. Process() runs a bucket only on IPv4 frames of
+  // its protocol, so each is loaded with those two fields as facts.
+  std::array<CompiledChain, 3> buckets_;
   telemetry::Tracepoints* tp_ = nullptr;
 };
 

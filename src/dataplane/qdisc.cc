@@ -36,7 +36,7 @@ Classifier ClassifyByOverlay(overlay::Program program) {
   NORMAN_CHECK(loaded.ok())
       << "classifier overlay program failed verification: "
       << loaded.status();
-  return [exe = *std::move(loaded)](const overlay::PacketContext& ctx) {
+  return [exe = std::move(loaded).value()](const overlay::PacketContext& ctx) {
     return static_cast<uint32_t>(overlay::Execute(exe, ctx).verdict);
   };
 }

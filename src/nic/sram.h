@@ -103,6 +103,46 @@ class SramAllocator {
     if (gauges_ != nullptr) gauges_->Set(static_cast<int64_t>(used_));
   }
 
+  // Hands a live `bytes` charge from `from_tenant` to (`pid`,
+  // `to_tenant`), keeping its category: the accounting of Free(category,
+  // bytes, from_tenant) then Allocate(category, bytes, pid, to_tenant), in
+  // one step. The device total and the category's bytes do not move, so
+  // neither is touched; tenant usage and its observer change only across
+  // tenants. The "sram.alloc" probe fires as the Allocate would. Returns
+  // false, changing nothing, when `to_tenant`'s quota would refuse the
+  // bytes once `from_tenant`'s are refunded; the caller then takes the
+  // Free + Allocate path, which reports the refusal.
+  bool Recharge(uint64_t bytes, uint32_t pid, uint32_t from_tenant,
+                uint32_t to_tenant) {
+    if (to_tenant != 0) {
+      const auto quota = tenant_quota_.find(to_tenant);
+      if (quota != tenant_quota_.end()) {
+        uint64_t used = TenantUsed(to_tenant);
+        if (from_tenant == to_tenant) used -= used < bytes ? used : bytes;
+        if (used + bytes > quota->second) return false;
+      }
+    }
+    if (from_tenant != to_tenant) {
+      if (from_tenant != 0) {
+        auto tu = tenant_used_.find(from_tenant);
+        if (tu != tenant_used_.end()) {
+          tu->second -= tu->second < bytes ? tu->second : bytes;
+          if (tenant_observer_) tenant_observer_(from_tenant, tu->second);
+        }
+      }
+      if (to_tenant != 0) {
+        uint64_t& used = tenant_used_[to_tenant];
+        used += bytes;
+        if (tenant_observer_) tenant_observer_(to_tenant, used);
+      }
+    }
+    if (tp_ != nullptr) {
+      tp_->Emit(telemetry::Probe::kSramAlloc, telemetry::Tracepoints::kCoreNic,
+                pid, bytes, used_, to_tenant);
+    }
+    return true;
+  }
+
   // ---- per-tenant quota dimension ----------------------------------------
 
   // Caps `tenant`'s total SRAM footprint at `bytes`. Existing usage is not

@@ -128,6 +128,20 @@ void TopTalkers::EvictMin() {
   evicted_->Increment();
 }
 
+void TopTalkers::ReplaceMin(const net::FiveTuple& tuple, uint32_t owner_pid,
+                            uint32_t bytes, Nanos now, uint32_t tenant) {
+  const uint32_t slot = heap_[0];
+  EraseFromIndex(slots_[slot].tuple);
+  slots_[slot] = {tuple, owner_pid, tenant, 1, bytes, now, now};
+  index_[Bucket(tuple)] = slot + 1;
+  // Eviction order is a total order on (bytes, tuple), so which entry
+  // goes next does not depend on how the heap got its shape.
+  SiftDown(0);
+  hot_ = slot;
+  evicted_->Increment();
+  tracked_->Increment();
+}
+
 void TopTalkers::Record(const net::FiveTuple& tuple, uint32_t owner_pid,
                         uint32_t bytes, Nanos now, uint32_t tenant) {
   // Hot-flow shortcut: trains of back-to-back packets from one flow skip
@@ -146,9 +160,15 @@ void TopTalkers::Record(const net::FiveTuple& tuple, uint32_t owner_pid,
 
   // New flow. Make room first: evict the smallest-bytes entry (smallest
   // tuple on ties) when the table bound is hit, or when SRAM cannot cover
-  // another entry.
+  // another entry. Evict-and-admit is one step — the flow takes the
+  // victim's slot and SRAM charge — unless its tenant's quota refuses it.
   if (!slots_.empty() && (slots_.size() >= max_entries_ ||
                           sram_->available() < kTopTalkerEntryBytes)) {
+    if (sram_->Recharge(kTopTalkerEntryBytes, owner_pid,
+                        slots_[heap_[0]].tenant, tenant)) {
+      ReplaceMin(tuple, owner_pid, bytes, now, tenant);
+      return;
+    }
     EvictMin();
   }
 

@@ -12,7 +12,9 @@
 // records of a new flow evict, so both paths are O(log n) at worst: entries
 // live in dense slots found through an open-addressing FiveTuple index, and
 // an indexed binary min-heap keyed (bytes, tuple) keeps the victim at its
-// root. A hit only grows bytes, so it only sifts down.
+// root. A hit only grows bytes, so it only sifts down; an evict-and-admit
+// writes the new flow over the root and sifts it down, moving the victim's
+// SRAM charge to the new flow's tenant in one step.
 //
 // Recording is pure observation — no events, no virtual-time cost — so the
 // packet trajectory is bit-identical whether the table is enabled or not.
@@ -89,6 +91,10 @@ class TopTalkers {
   void SiftDown(size_t pos);
   // Drops the heap root (fewest bytes, smallest tuple) and refunds its SRAM.
   void EvictMin();
+  // Writes a new flow over the heap root, whose SRAM charge the caller has
+  // already handed to the flow's tenant.
+  void ReplaceMin(const net::FiveTuple& tuple, uint32_t owner_pid,
+                  uint32_t bytes, Nanos now, uint32_t tenant);
 
   SramAllocator* sram_;
   size_t max_entries_;

@@ -98,6 +98,7 @@ StatusOr<ExecResult> Execute(const Program& program,
       case Opcode::kRet:
         result.verdict = ins.use_imm ? ins.imm
                                      : static_cast<int64_t>(regs[ins.dst]);
+        result.dispatches = result.instructions_executed;
         return result;
     }
     ++pc;

@@ -22,6 +22,9 @@ namespace norman::overlay {
 struct ExecResult {
   int64_t verdict = 0;
   uint32_t instructions_executed = 0;
+  // Steps the engine took: decoded dispatches for an Executable; the
+  // stepper takes one per instruction, so it reports its instruction count.
+  uint32_t dispatches = 0;
 };
 
 StatusOr<ExecResult> Execute(const Program& program, const PacketContext& ctx);

@@ -357,7 +357,9 @@ TEST_F(FaultInjectionTest, DownWindowRecoversAutomatically) {
   // retransmission carries them across.
   bed_->sim().ScheduleAt(2 * kMillisecond, [&] {
     for (int i = 0; i < 20; ++i) {
-      EXPECT_TRUE(tx.Send("m" + std::to_string(i)).ok());
+      std::string message = "m";
+      message += std::to_string(i);
+      EXPECT_TRUE(tx.Send(message).ok());
     }
   });
   bed_->sim().RunUntil(10'000 * kMillisecond);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+#include "src/overlay/interpreter.h"
 #include "src/overlay/verifier.h"
 #include "tests/test_util.h"
 
@@ -300,6 +302,164 @@ TEST(FilterEngineTest, InstructionCountReportedForCostCharging) {
   auto pkt = MakeUdpContext(1, 53, Direction::kTx);
   auto result = engine.Process(pkt->packet, pkt->ctx);
   EXPECT_GT(result.overlay_instructions, 0u);
+}
+
+// ---- Exact work counts --------------------------------------------------
+
+// The OUTPUT chain of perfbench's fw_churn workload: 22 UDP noise rules on
+// dst-port ranges no flow uses (every other one also owner-matched), then
+// a pid deny and a uid accept.
+constexpr uint32_t kScraperPid = 77;
+constexpr uint32_t kBatchUid = 1002;
+
+std::vector<FilterRule> FwChurnOutputChain() {
+  std::vector<FilterRule> rules;
+  for (uint32_t i = 0; i < 22; ++i) {
+    FilterRule r;
+    r.proto = IpProto::kUdp;
+    const auto port = static_cast<uint16_t>(5000 + 10 * i);
+    r.dst_port = PortRange{port, static_cast<uint16_t>(port + 4)};
+    if (i % 2 == 0) r.owner_uid = 3000 + i;
+    r.action = FilterAction::kDrop;
+    rules.push_back(r);
+  }
+  FilterRule deny;
+  deny.owner_pid = kScraperPid;
+  deny.action = FilterAction::kDrop;
+  rules.push_back(deny);
+  FilterRule accept;
+  accept.owner_uid = kBatchUid;
+  accept.action = FilterAction::kAccept;
+  rules.push_back(accept);
+  return rules;
+}
+
+// Instruction counts are the modelled NIC cost (overlay_instr_ns each), so
+// they are pinned: a decoder change that moves them changes virtual time.
+// Dispatches are the host's work per packet, gated by a ceiling: the UDP
+// bucket's is_ipv4/ip_proto guards fold away, and the 22 port tests are
+// one run the engine skips through in one dispatch.
+TEST(FilterEngineTest, FwChurnChainWorkCountsArePinned) {
+  FilterEngine engine;
+  for (const FilterRule& r : FwChurnOutputChain()) {
+    ASSERT_TRUE(engine.AppendRule(r).ok());
+  }
+  const struct {
+    const char* owner;
+    ConnMetadata meta;
+    nic::Verdict verdict;
+    uint32_t instructions;
+  } cases[] = {
+      {"web", {1, 1001, 40, 0, 0, 1001}, nic::Verdict::kAccept, 159},
+      {"batch", {2, kBatchUid, 41, 0, 0, kBatchUid}, nic::Verdict::kAccept,
+       159},
+      {"scraper", {3, 1001, kScraperPid, 0, 0, 1001}, nic::Verdict::kDrop,
+       157},
+  };
+  for (const auto& c : cases) {
+    auto pkt = MakeUdpContext(40000, 20000, Direction::kTx, c.meta, 128);
+    const nic::StageResult result = engine.Process(pkt->packet, pkt->ctx);
+    EXPECT_EQ(result.verdict, c.verdict) << c.owner;
+    EXPECT_EQ(result.overlay_instructions, c.instructions) << c.owner;
+    const auto stepped =
+        overlay::Execute(engine.compiled_for(IpProto::kUdp), pkt->ctx);
+    ASSERT_TRUE(stepped.ok()) << stepped.status();
+    EXPECT_EQ(stepped->instructions_executed, c.instructions) << c.owner;
+    EXPECT_EQ(stepped->dispatches, c.instructions) << c.owner;
+    const overlay::ExecResult decoded =
+        overlay::Execute(engine.executable_for(IpProto::kUdp), pkt->ctx);
+    EXPECT_EQ(decoded.instructions_executed, c.instructions) << c.owner;
+    EXPECT_LE(decoded.dispatches, 4u) << c.owner;
+  }
+}
+
+// ---- Incremental rebuild --------------------------------------------------
+
+FilterRule RandomBucketRule(Rng& rng) {
+  FilterRule r;
+  switch (rng.NextBounded(4)) {
+    case 0:
+      break;
+    case 1:
+      r.proto = IpProto::kTcp;
+      break;
+    case 2:
+      r.proto = IpProto::kUdp;
+      break;
+    default:
+      r.proto = IpProto::kIcmp;
+      break;
+  }
+  if (rng.NextBool(0.7)) {
+    const auto lo = static_cast<uint16_t>(rng.NextBounded(50));
+    r.dst_port = PortRange{lo, static_cast<uint16_t>(lo + rng.NextBounded(4))};
+  }
+  if (rng.NextBool(0.3)) {
+    r.owner_uid = 1000 + static_cast<uint32_t>(rng.NextBounded(2));
+  }
+  r.action = static_cast<FilterAction>(rng.NextBounded(3));
+  return r;
+}
+
+// A rule change rebuilds only the buckets it can alter. After every step
+// of a generated append/insert/delete sequence, every program equals a
+// from-scratch compile, and every decoded bucket runs like the stepper.
+TEST(FilterEngineTest, RuleChangesRebuildEveryProgramTheyAlter) {
+  const IpProto protos[] = {IpProto::kTcp, IpProto::kUdp, IpProto::kIcmp};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    FilterEngine engine;
+    for (int step = 0; step < 300; ++step) {
+      const size_t n = engine.rules().size();
+      const uint64_t pick = rng.NextBounded(100);
+      if (pick < 2) {
+        engine.SetDefaultAction(static_cast<FilterAction>(rng.NextBounded(3)));
+      } else if (pick < 3) {
+        engine.Flush();
+      } else if (n > 0 && (pick < 35 || n >= 40)) {
+        ASSERT_TRUE(engine.DeleteRule(rng.NextBounded(n)).ok());
+      } else if (pick < 60) {
+        ASSERT_TRUE(
+            engine.InsertRule(rng.NextBounded(n + 1), RandomBucketRule(rng))
+                .ok());
+      } else {
+        ASSERT_TRUE(engine.AppendRule(RandomBucketRule(rng)).ok());
+      }
+      ASSERT_EQ(engine.compiled(),
+                CompileFilterChain(engine.rules(), engine.default_action()))
+          << "seed " << seed << " step " << step;
+      for (const IpProto proto : protos) {
+        ASSERT_EQ(engine.compiled_for(proto),
+                  CompileFilterBucket(engine.rules(), engine.default_action(),
+                                      proto))
+            << "seed " << seed << " step " << step << " proto "
+            << static_cast<int>(proto);
+      }
+      const auto dport = static_cast<uint16_t>(rng.NextBounded(55));
+      const ConnMetadata owner{
+          1, 1000 + static_cast<uint32_t>(rng.NextBounded(2))};
+      std::unique_ptr<test::ContextBundle> frames[] = {
+          MakeTcpContext(9, dport, net::TcpFlags::kAck, Direction::kTx, owner),
+          MakeUdpContext(9, dport, Direction::kTx, owner),
+          test::MakeFrameContext(
+              net::BuildIcmpEchoFrame(test::LocalToRemote(),
+                                      net::IcmpType::kEchoRequest, 1, 1, {}),
+              Direction::kTx, owner),
+      };
+      for (size_t b = 0; b < 3; ++b) {
+        const auto stepped =
+            overlay::Execute(engine.compiled_for(protos[b]), frames[b]->ctx);
+        ASSERT_TRUE(stepped.ok()) << stepped.status();
+        const nic::StageResult got =
+            engine.Process(frames[b]->packet, frames[b]->ctx);
+        ASSERT_EQ(got.overlay_instructions, stepped->instructions_executed)
+            << "seed " << seed << " step " << step << " bucket " << b;
+        // nic::Verdict and FilterAction share their encodings.
+        ASSERT_EQ(static_cast<int64_t>(got.verdict), stepped->verdict & 0x3)
+            << "seed " << seed << " step " << step << " bucket " << b;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -382,6 +382,7 @@ class NaiveTopTalkers {
       }
       sram_->Free("top_talkers", nic::kTopTalkerEntryBytes,
                   victim->second.tenant);
+      last_victim_tenant = victim->second.tenant;
       table_.erase(victim);
       ++evicted;
     }
@@ -393,6 +394,13 @@ class NaiveTopTalkers {
     }
     table_[tuple] = {tuple, pid, tenant, 1, bytes, now, now};
     ++tracked;
+  }
+
+  // SRAM the table's entries hold for `tenant`, counted from the entries.
+  uint64_t TenantBytes(uint32_t tenant) const {
+    uint64_t n = 0;
+    for (const auto& [tuple, e] : table_) n += e.tenant == tenant ? 1 : 0;
+    return n * nic::kTopTalkerEntryBytes;
   }
 
   const nic::TopTalkerEntry* Lookup(const net::FiveTuple& tuple) const {
@@ -414,6 +422,7 @@ class NaiveTopTalkers {
   uint64_t tracked = 0;
   uint64_t evicted = 0;
   uint64_t untracked = 0;
+  uint32_t last_victim_tenant = 0;
 
  private:
   nic::SramAllocator* sram_;
@@ -436,11 +445,19 @@ struct TopTalkersModelCase {
   double hot_share;        // chance a record goes to the current hot flow
 };
 
+// How often a model run took each evict-and-admit path.
+struct TopTalkersModelPaths {
+  int same_tenant = 0;   // the new flow replaced a victim of its tenant
+  int cross_tenant = 0;  // ... of another tenant
+  int evict_then_refuse = 0;  // evicted, then the quota refused the flow
+};
+
 // Drives the same seeded Record stream into TopTalkers and the naive model
 // (each with its own SRAM and registry) and compares every observable
-// after every step, and the SRAM refunds after destruction. Returns how
-// many steps evicted and then refused the new flow anyway.
-int RunTopTalkersModel(const TopTalkersModelCase& c) {
+// after every step — entries, counters, device and per-tenant SRAM (against
+// the model's entries, and as the tenant observer last reported it) — and
+// the SRAM refunds after destruction.
+TopTalkersModelPaths RunTopTalkersModel(const TopTalkersModelCase& c) {
   Rng rng(c.seed);
   telemetry::MetricsRegistry reg;
   nic::SramAllocator sram(c.sram_entries * nic::kTopTalkerEntryBytes);
@@ -459,7 +476,11 @@ int RunTopTalkersModel(const TopTalkersModelCase& c) {
   }
   // Few distinct sizes (and zero), so byte ties are common.
   constexpr uint32_t kSizes[] = {0, 1, 64, 64, 100, 1500};
-  int evict_then_refuse = 0;
+  // The last usage the tenant observer reported, per tenant.
+  std::map<uint32_t, uint64_t> observed;
+  sram.SetTenantObserver(
+      [&observed](uint32_t tenant, uint64_t used) { observed[tenant] = used; });
+  TopTalkersModelPaths paths;
   {
     nic::TopTalkers tt(&sram, &reg, c.max_entries);
     NaiveTopTalkers model(&model_sram, c.max_entries);
@@ -477,9 +498,14 @@ int RunTopTalkersModel(const TopTalkersModelCase& c) {
       const uint64_t untracked_before = model.untracked;
       tt.Record(flows[flow], pid, bytes, step, tenant);
       model.Record(flows[flow], pid, bytes, step, tenant);
-      if (model.evicted > evicted_before &&
-          model.untracked > untracked_before) {
-        ++evict_then_refuse;
+      if (model.evicted > evicted_before) {
+        if (model.untracked > untracked_before) {
+          ++paths.evict_then_refuse;
+        } else if (model.last_victim_tenant == tenant) {
+          ++paths.same_tenant;
+        } else {
+          ++paths.cross_tenant;
+        }
       }
 
       const auto top = tt.Top(tt.size());
@@ -504,9 +530,18 @@ int RunTopTalkersModel(const TopTalkersModelCase& c) {
       EXPECT_EQ(tt.evicted(), model.evicted) << "step " << step;
       EXPECT_EQ(tt.untracked(), model.untracked) << "step " << step;
       EXPECT_EQ(sram.used(), model_sram.used()) << "step " << step;
-      EXPECT_EQ(sram.TenantUsed(1), model_sram.TenantUsed(1));
-      EXPECT_EQ(sram.TenantUsed(2), model_sram.TenantUsed(2));
-      if (::testing::Test::HasFailure()) return evict_then_refuse;
+      for (const uint32_t t : {1u, 2u}) {
+        EXPECT_EQ(sram.TenantUsed(t), model_sram.TenantUsed(t))
+            << "step " << step << " tenant " << t;
+        EXPECT_EQ(sram.TenantUsed(t), model.TenantBytes(t))
+            << "step " << step << " tenant " << t;
+        if (observed.count(t) != 0) {
+          EXPECT_EQ(observed[t], sram.TenantUsed(t))
+              << "step " << step << " tenant " << t;
+        }
+      }
+      EXPECT_EQ(sram.UsedBy("top_talkers"), sram.used()) << "step " << step;
+      if (::testing::Test::HasFailure()) return paths;
     }
     EXPECT_GT(tt.evicted(), 0u);
   }
@@ -515,14 +550,22 @@ int RunTopTalkersModel(const TopTalkersModelCase& c) {
   EXPECT_EQ(model_sram.used(), 0u);
   EXPECT_EQ(sram.TenantUsed(1), model_sram.TenantUsed(1));
   EXPECT_EQ(sram.TenantUsed(2), model_sram.TenantUsed(2));
-  return evict_then_refuse;
+  return paths;
 }
 
 TEST(TopTalkersModelTest, TableBound) {
+  TopTalkersModelPaths paths;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
-    RunTopTalkersModel({seed, /*max_entries=*/8, /*sram_entries=*/1024,
-                        /*quota_entries=*/0, /*hot_share=*/0.0});
+    const auto p = RunTopTalkersModel({seed, /*max_entries=*/8,
+                                       /*sram_entries=*/1024,
+                                       /*quota_entries=*/0, /*hot_share=*/0.0});
+    paths.same_tenant += p.same_tenant;
+    paths.cross_tenant += p.cross_tenant;
   }
+  // Both replacement paths ran: the charge stays with its tenant, or
+  // moves to another.
+  EXPECT_GT(paths.same_tenant, 0);
+  EXPECT_GT(paths.cross_tenant, 0);
 }
 
 TEST(TopTalkersModelTest, SramPressure) {
@@ -537,7 +580,8 @@ TEST(TopTalkersModelTest, QuotaRefusesAdmissionAfterEviction) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     evict_then_refuse +=
         RunTopTalkersModel({seed, /*max_entries=*/10, /*sram_entries=*/1024,
-                            /*quota_entries=*/2, /*hot_share=*/0.2});
+                            /*quota_entries=*/2, /*hot_share=*/0.2})
+            .evict_then_refuse;
   }
   EXPECT_GT(evict_then_refuse, 0) << "the stream never hit the path";
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "src/net/packet_builder.h"
 #include "src/net/parsed_packet.h"
 #include "src/overlay/assembler.h"
@@ -264,8 +266,9 @@ TEST(DecoderTest, JumpIntoAGroupSplitsIt) {
     };
     // [ldf+jeq] [ldf(+shr)] [target...] ... four rets/tails.
     EXPECT_EQ(Dispatches(p), entry == 3 ? 8u : 7u) << entry;
-    for (const uint16_t sport : {7, 8}) {
-      for (const uint16_t dport : {100, 101, 3}) {
+    for (const uint16_t sport : std::initializer_list<uint16_t>{7, 8}) {
+      for (const uint16_t dport :
+           std::initializer_list<uint16_t>{100, 101, 3}) {
         MustRunBoth(p, MakeUdpPacket(sport, dport).ctx);
       }
     }

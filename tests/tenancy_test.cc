@@ -137,7 +137,7 @@ TEST(TenancyTest, RingBudgetAdmission) {
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
   // Close refunds the working sets; the retry is admitted.
-  first->Close();
+  EXPECT_TRUE(first->Close().ok());
   auto retry = Socket::Connect(&k, pid, peer, 3000, {});
   EXPECT_TRUE(retry.ok());
 }

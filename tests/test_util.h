@@ -71,6 +71,24 @@ inline std::unique_ptr<ContextBundle> MakeTcpContext(
   return b;
 }
 
+// A context for any frame: ARP, ICMP, truncated or garbage. `parsed` is
+// null when the Ethernet header itself does not parse.
+inline std::unique_ptr<ContextBundle> MakeFrameContext(
+    std::vector<uint8_t> frame, net::Direction dir,
+    overlay::ConnMetadata owner = {}) {
+  auto b = std::make_unique<ContextBundle>();
+  b->frame = std::move(frame);
+  b->packet = net::Packet(b->frame);
+  const auto parsed = net::ParseFrame(b->packet.bytes());
+  if (parsed) b->parsed = *parsed;
+  b->ctx.frame = b->packet.bytes();
+  b->ctx.parsed = parsed ? &b->parsed : nullptr;
+  b->ctx.conn = owner;
+  b->ctx.direction = dir;
+  b->packet.meta().direction = dir;
+  return b;
+}
+
 }  // namespace norman::test
 
 #endif  // NORMAN_TESTS_TEST_UTIL_H_
